@@ -132,11 +132,19 @@ def _require(cfg, key, task):
     return cfg[key]
 
 
+def _options(factory, opts, key):
+    """``factory(**opts)``, with unknown or invalid options a ConfigError."""
+    try:
+        return factory(**opts)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid {key!r} options: {exc}") from None
+
+
 def _train_cfg(cfg, seed):
     opts = dict(cfg.get("train", {}))
     opts.setdefault("epochs", 200)
     opts["seed"] = seed
-    return TrainConfig(**opts)
+    return _options(TrainConfig, opts, "train")
 
 
 def _write_manifest(out_dir, cfg, seed, extra=None):
@@ -153,25 +161,29 @@ def _write_manifest(out_dir, cfg, seed, extra=None):
 # -- tabular commands ----------------------------------------------------------------
 
 
-def cmd_fit(cfg, out_dir, seed):
-    header, table = load_table(_require(cfg, "dataset", "fit"))
-    x, y = table[:, :-1], table[:, -1]
+def _fit_tabular(cfg, x, y, seed):
+    """The copula regression that a ``fit`` config describes, fitted to (x, y)."""
     net_opts = cfg.get("network", {})
     mcmc = cfg.get("mcmc", {})
     network = build_ffn(x.shape[1], width=int(net_opts.get("width", 64)),
                         dropout_rate=float(net_opts.get("dropout", 0.5)),
                         seed=seed)
-    fit = fit_copula_regression(
+    return fit_copula_regression(
         x, y, variant=mcmc.get("variant", "horseshoe"), network=network,
-        train_cfg=_train_cfg(cfg, seed),
-        burnin=int(mcmc.get("burnin", 1000)),
+        train_cfg=_train_cfg(cfg, seed), burnin=int(mcmc.get("burnin", 1000)),
         draws=int(mcmc.get("draws", 1000)), thin=int(mcmc.get("thin", 1)),
         seed=seed)
+
+
+def cmd_fit(cfg, out_dir, seed):
+    header, table = load_table(_require(cfg, "dataset", "fit"))
+    x, y = table[:, :-1], table[:, -1]
+    fit = _fit_tabular(cfg, x, y, seed)
     fit.meta.update({"dataset": os.path.basename(cfg["dataset"]),
-                     "response": header[-1]})
+                     "response": header[-1], "task": "fit", "config": cfg,
+                     "config_hash": config_hash(cfg)})
     os.makedirs(out_dir, exist_ok=True)
     fit.save(out_dir)
-    _write_manifest(out_dir, cfg, seed, extra={"task": "fit"})
     return EXIT_OK
 
 
@@ -210,18 +222,7 @@ def cmd_calibrate(cfg, out_dir, seed):
     fit_conf = fit.meta.get("config", cfg.get("refit", {}))
 
     def refit(x_tr, y_tr):
-        sub = fit_copula_regression(
-            x_tr, y_tr,
-            variant=fit.meta.get("variant", "horseshoe"),
-            network=build_ffn(x_tr.shape[1],
-                              width=int(fit_conf.get("network", {})
-                                        .get("width", 64)),
-                              seed=seed),
-            train_cfg=_train_cfg(fit_conf, seed),
-            burnin=int(fit_conf.get("mcmc", {}).get("burnin", 1000)),
-            draws=int(fit_conf.get("mcmc", {}).get("draws", 1000)),
-            seed=seed)
-        model = sub.predictive
+        model = _fit_tabular(fit_conf, x_tr, y_tr, seed).predictive
         return lambda x_te, y_te: predict_density_at(model, x_te, y_te)
 
     if folds >= 2:
@@ -267,7 +268,7 @@ def _lfi_config(cfg):
     for key in ("kernel_sizes", "filter_counts"):
         if key in opts:
             opts[key] = tuple(opts[key])
-    return LfiFitConfig(**opts)
+    return _options(LfiFitConfig, opts, "lfi_fit")
 
 
 def cmd_lfi_simulate(cfg, out_dir, seed):
@@ -287,10 +288,10 @@ def cmd_lfi_simulate(cfg, out_dir, seed):
 
 def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     model = _sim_model(cfg)
+    lfi_cfg = _lfi_config(cfg)
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     train_path = os.path.join(data_dir, "train.csv")
     train_b = SimBatch.load_csv(train_path, param_names=model.prior.names)
-    lfi_cfg = _lfi_config(cfg)
     os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(model.prior.names):
         bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=seed * 7919 + j,
@@ -353,6 +354,7 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
 
 def cmd_lfi(cfg, out_dir, seed):
     """Full pipeline: simulate, fit every parameter, score."""
+    _lfi_config(cfg)  # reject bad fit options before simulating
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
     return cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir,

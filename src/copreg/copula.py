@@ -26,9 +26,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtri
 
 from .errors import DomainError, NumericalError, ShapeError
-from .margin import MarginModel, to_pseudo
-
-_LOG_2PI = np.log(2.0 * np.pi)
+from .margin import MarginModel, PredictiveKernel, to_pseudo
 
 #: Dense-matrix operations refuse instances larger than this.
 ORACLE_LIMIT = 64
@@ -109,18 +107,25 @@ class ShrinkageState:
 # -- scaling and dense oracles ------------------------------------------------
 
 
+def scaling_factors(basis, variances):
+    """s = (1 + psi^T diag(v) psi)^{-1/2} for each basis row ``psi``.
+
+    ``variances`` is one prior-variance diagonal ``(q,)``, or one column per
+    posterior draw ``(q, J)`` for a ``(rows, J)`` result.
+    """
+    basis = np.asarray(basis, dtype=float)
+    return 1.0 / np.sqrt(1.0 + (basis * basis) @ variances)
+
+
 def scaling(psi, state: ShrinkageState) -> float:
     """s = (1 + psi^T P(theta)^{-1} psi)^{-1/2}; O(q) on the diagonal prior."""
-    psi = np.asarray(psi, dtype=float)
-    v = state.prior_variance_diag(psi.size)
-    return float(1.0 / np.sqrt(1.0 + np.dot(psi * psi, v)))
+    return float(scaling_factors(psi, state.prior_variance_diag(np.size(psi))))
 
 
 def scaling_rows(basis, state: ShrinkageState) -> np.ndarray:
     """Row-wise scaling factors for a basis matrix, vectorized."""
-    basis = np.asarray(basis, dtype=float)
-    v = state.prior_variance_diag(basis.shape[1])
-    return 1.0 / np.sqrt(1.0 + (basis * basis) @ v)
+    return scaling_factors(basis,
+                           state.prior_variance_diag(np.shape(basis)[1]))
 
 
 def corr_matrix(basis, state: ShrinkageState, oracle_limit=ORACLE_LIMIT):
@@ -168,14 +173,8 @@ def cond_loglik(y, basis, beta, state: ShrinkageState,
     basis = np.asarray(basis, dtype=float)
     if basis.shape[0] != y.size:
         raise ShapeError("basis rows must match observations")
-    z = to_pseudo(margin, y)
     s = scaling_rows(basis, state)
-    mean = s * (basis @ beta)
-    resid = (z - mean) / s
-    log_phi_resid = -0.5 * resid * resid - 0.5 * _LOG_2PI
-    log_phi_z = -0.5 * z * z - 0.5 * _LOG_2PI
-    return float(np.sum(log_phi_resid - np.log(s)
-                        + margin.logpdf(y) - log_phi_z))
+    return float(np.sum(PredictiveKernel(margin, y).logpdf(basis @ beta, s)))
 
 
 # -- Gibbs updates ------------------------------------------------------------------
@@ -215,30 +214,52 @@ def _ridge_log_target(x, q, half_bnorm_sq):
             - RIDGE_RATE * np.exp(0.5 * x))
 
 
-def _slice_sample_log_tau2(x0, q, half_bnorm_sq, rng, width=1.0,
-                           max_steps=200):
+#: Slice sampler: initial bracket width, and the cap on step-outs per side
+#: and on shrinks.
+SLICE_WIDTH = 1.0
+SLICE_MAX_STEPS = 200
+
+
+def _slice_sample(log_target, x0, rng):
+    """One univariate slice-sampling update from ``x0`` (step out, shrink).
+
+    Raises :class:`NumericalError` when no shrink finds a point above the
+    slice level, which happens when the log target is NaN.
+    """
     with np.errstate(over="ignore"):
-        level = _ridge_log_target(x0, q, half_bnorm_sq) - rng.exponential()
-        left = x0 - width * rng.random()
-        right = left + width
+        level = log_target(x0) - rng.exponential()
+        left = x0 - SLICE_WIDTH * rng.random()
+        right = left + SLICE_WIDTH
         steps = 0
-        while _ridge_log_target(left, q, half_bnorm_sq) > level \
-                and steps < max_steps:
-            left -= width
+        while log_target(left) > level and steps < SLICE_MAX_STEPS:
+            left -= SLICE_WIDTH
             steps += 1
         steps = 0
-        while _ridge_log_target(right, q, half_bnorm_sq) > level \
-                and steps < max_steps:
-            right += width
+        while log_target(right) > level and steps < SLICE_MAX_STEPS:
+            right += SLICE_WIDTH
             steps += 1
-        while True:
+        for _ in range(SLICE_MAX_STEPS):
             x1 = rng.uniform(left, right)
-            if _ridge_log_target(x1, q, half_bnorm_sq) > level:
+            if log_target(x1) > level:
                 return x1
             if x1 < x0:
                 left = x1
             else:
                 right = x1
+    raise NumericalError(
+        f"slice sampler found no point above the slice level in "
+        f"{SLICE_MAX_STEPS} shrinks; is the log target finite at {x0!r}?")
+
+
+def _horseshoe_globals(lam2, state, rng):
+    """Exact Gibbs draws of nu, tau^2 and xi given the new lambda^2."""
+    q = lam2.size
+    nu = _inv_gamma(rng, 1.0, 1.0 / (state.tau ** 2) + 1.0 / lam2, size=q)
+    tau2 = _inv_gamma(rng, 0.5 * (q + 1.0),
+                      1.0 / state.xi + float(np.sum(1.0 / nu)))
+    xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / tau2)
+    return ShrinkageState("horseshoe", lam=np.sqrt(lam2),
+                          tau=float(np.sqrt(tau2)), nu=nu, xi=float(xi))
 
 
 def sample_theta(beta, state: ShrinkageState, rng) -> ShrinkageState:
@@ -255,14 +276,10 @@ def sample_theta(beta, state: ShrinkageState, rng) -> ShrinkageState:
     q = beta.size
     if state.variant == "horseshoe":
         lam2 = _inv_gamma(rng, 1.0, 1.0 / state.nu + 0.5 * beta * beta, size=q)
-        nu = _inv_gamma(rng, 1.0, 1.0 / (state.tau ** 2) + 1.0 / lam2, size=q)
-        tau2 = _inv_gamma(rng, 0.5 * (q + 1.0),
-                          1.0 / state.xi + float(np.sum(1.0 / nu)))
-        xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / tau2)
-        return ShrinkageState("horseshoe", lam=np.sqrt(lam2),
-                              tau=float(np.sqrt(tau2)), nu=nu, xi=float(xi))
-    x0 = np.log(state.tau2)
-    x1 = _slice_sample_log_tau2(x0, q, 0.5 * float(beta @ beta), rng)
+        return _horseshoe_globals(lam2, state, rng)
+    half_bnorm_sq = 0.5 * float(beta @ beta)
+    x1 = _slice_sample(lambda x: _ridge_log_target(x, q, half_bnorm_sq),
+                       np.log(state.tau2), rng)
     return ShrinkageState("ridge", tau2=float(np.exp(x1)))
 
 
@@ -302,43 +319,15 @@ def _sample_theta_corrected(beta, state, rng, z, basis_sq, mean_vals):
                 t_vals = t_star
                 cur_ll = new_ll
                 accepted += 1
-        nu = _inv_gamma(rng, 1.0, 1.0 / (state.tau ** 2) + 1.0 / lam2, size=q)
-        tau2 = _inv_gamma(rng, 0.5 * (q + 1.0),
-                          1.0 / state.xi + float(np.sum(1.0 / nu)))
-        xi = _inv_gamma(rng, 1.0, 1.0 + 1.0 / tau2)
-        new_state = ShrinkageState("horseshoe", lam=np.sqrt(lam2),
-                                   tau=float(np.sqrt(tau2)), nu=nu,
-                                   xi=float(xi))
-        return new_state, accepted / q
+        return _horseshoe_globals(lam2, state, rng), accepted / q
     row_norms = basis_sq.sum(axis=1)
     half_bnorm_sq = 0.5 * float(beta @ beta)
 
     def log_target(x):
-        with np.errstate(over="ignore"):
-            base = _ridge_log_target(x, q, half_bnorm_sq)
-            return base + _scale_loglik(z, mean_vals, np.exp(x) * row_norms)
+        return (_ridge_log_target(x, q, half_bnorm_sq)
+                + _scale_loglik(z, mean_vals, np.exp(x) * row_norms))
 
-    x0 = np.log(state.tau2)
-    level = log_target(x0) - rng.exponential()
-    width = 1.0
-    left = x0 - width * rng.random()
-    right = left + width
-    steps = 0
-    while log_target(left) > level and steps < 200:
-        left -= width
-        steps += 1
-    steps = 0
-    while log_target(right) > level and steps < 200:
-        right += width
-        steps += 1
-    while True:
-        x1 = rng.uniform(left, right)
-        if log_target(x1) > level:
-            break
-        if x1 < x0:
-            left = x1
-        else:
-            right = x1
+    x1 = _slice_sample(log_target, np.log(state.tau2), rng)
     return ShrinkageState("ridge", tau2=float(np.exp(x1))), 1.0
 
 
@@ -370,11 +359,6 @@ class PosteriorDraws:
     @property
     def q(self):
         return self.beta_draws.shape[1]
-
-    def prior_variance_matrix(self):
-        """(J, q) matrix of prior variance diagonals, one row per draw."""
-        return np.vstack([st.prior_variance_diag(self.q)
-                          for st in self.theta_draws])
 
     def save_csv(self, csv_path, header_path, extra_header=None):
         names = ([f"beta_{j + 1}" for j in range(self.q)]

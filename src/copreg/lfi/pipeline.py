@@ -171,6 +171,13 @@ class LfiFitConfig:
     draws: int = 500
     thin: int = 1
 
+    def __post_init__(self):
+        self.train_config(seed=0)  # bad training options fail here, early
+
+    def train_config(self, seed) -> TrainConfig:
+        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
+                           patience=self.patience, seed=seed)
+
 
 def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
             seed=0, return_bundle=False):
@@ -193,8 +200,7 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
     fit = fit_copula_regression(
         train_batch.series.astype(float), response, variant=cfg.variant,
         network=net,
-        train_cfg=TrainConfig(epochs=cfg.epochs, batch_size=cfg.batch_size,
-                              patience=cfg.patience, seed=seed),
+        train_cfg=cfg.train_config(seed),
         burnin=cfg.burnin, draws=cfg.draws, thin=cfg.thin, seed=seed,
         rescale_features=False)
     fit.meta["param"] = train_batch.param_names[param_index]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.special import logsumexp, ndtr, ndtri
@@ -76,7 +77,7 @@ class MarginModel:
         return ndtr(t).mean(axis=-1)
 
     def quantile(self, u):
-        """Inverse CDF by bisection to an interval width of 1e-10.
+        """Inverse CDF by bisection to a width of 1e-10 or the float spacing.
 
         Accepts scalars or arrays; u must lie strictly inside (0, 1).
         """
@@ -95,6 +96,10 @@ class MarginModel:
         hi = np.full(u_arr.shape, hi_val)
         while np.max(hi - lo) > 1e-10:
             mid = 0.5 * (lo + hi)
+            # Far from zero 1e-10 is below the float spacing: stop once no
+            # midpoint falls strictly inside its interval.
+            if np.all((mid == lo) | (mid == hi)):
+                break
             below = self.cdf(mid) < u_arr
             lo = np.where(below, mid, lo)
             hi = np.where(below, hi, mid)
@@ -129,9 +134,7 @@ class MarginModel:
 
     def grid_csv(self, path, num=512) -> None:
         """Write a two-column (y, pdf) grid plus a (y, cdf) companion block."""
-        lo = self.quantile(1e-4)
-        hi = self.quantile(1.0 - 1e-4)
-        grid = np.linspace(lo, hi, num)
+        grid = np.linspace(*self.quantile([1e-4, 1.0 - 1e-4]), num)
         rows = np.column_stack([grid, self.pdf(grid), self.cdf(grid)])
         header = "y,pdf,cdf"
         np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
@@ -193,3 +196,36 @@ def to_pseudo(margin: MarginModel, y) -> np.ndarray:
     u = margin.cdf(np.asarray(y, dtype=float))
     u = np.clip(u, margin.eps_f, 1.0 - margin.eps_f)
     return ndtri(u)
+
+
+def _log_phi(t):
+    return -0.5 * t * t - _LOG_SQRT_2PI
+
+
+class PredictiveKernel:
+    """The predictive law ``y0 = F^{-1}(Phi(z0))``, ``z0 ~ N(s f, s^2)``, at ``y``.
+
+    With ``z = to_pseudo(margin, y)`` and residual ``r = (z - s f) / s`` the
+    log density is ``log p_Y(y) - log phi(z) + log phi(r) - log s`` and the
+    CDF ``Phi(r)``.  The margin is evaluated once, here; ``f`` and ``s``
+    broadcast against ``y`` (scalars: one law on a grid; vectors: paired
+    laws; ``(rows, 1)`` columns: a block of laws on a shared grid).
+    """
+
+    def __init__(self, margin: MarginModel, y):
+        self.margin = margin
+        self.y = np.asarray(y, dtype=float)
+        self.z = to_pseudo(margin, self.y)
+
+    @cached_property
+    def _log_ratio(self):
+        return self.margin.logpdf(self.y) - _log_phi(self.z)
+
+    def residual(self, f, s):
+        return (self.z - s * f) / s
+
+    def logpdf(self, f, s):
+        return self._log_ratio + _log_phi(self.residual(f, s)) - np.log(s)
+
+    def cdf(self, f, s):
+        return ndtr(self.residual(f, s))

@@ -9,18 +9,15 @@ Density, CDF and quantiles are all available in closed form given the margin.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .copula import PosteriorDraws
+from .copula import PosteriorDraws, scaling_factors
 from .errors import DomainError, ShapeError
-from .margin import MarginModel
-
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+from .margin import MarginModel, PredictiveKernel
 
 #: Default single-density grids span this predictive quantile range.
 GRID_TAIL = 1e-4
@@ -28,9 +25,9 @@ GRID_TAIL = 1e-4
 #: Default number of grid points.
 GRID_SIZE = 512
 
-
-def _log_phi(t):
-    return -0.5 * t * t - _LOG_SQRT_2PI
+#: Feature rows evaluated together by the row-averaged paths; bounds their
+#: working memory at a few (ROW_CHUNK x grid) arrays.
+ROW_CHUNK = 512
 
 
 @dataclass
@@ -46,6 +43,7 @@ class PredictiveModel:
     beta_mean: np.ndarray
     theta_draws: list
     _var_matrix: np.ndarray | None = field(default=None, repr=False)
+    _curve: TransformCurve | None = field(default=None, repr=False)
 
     @classmethod
     def from_draws(cls, margin, network, draws: PosteriorDraws):
@@ -66,7 +64,7 @@ class PredictiveModel:
 
     def transform_curve(self):
         """Cached margin quantile curve for bulk transform lookups."""
-        if not hasattr(self, "_curve"):
+        if self._curve is None:
             self._curve = TransformCurve(self.margin)
         return self._curve
 
@@ -80,56 +78,38 @@ class PredictiveModel:
                 f"basis width {basis.shape[1]} != coefficient size {self.q}")
         f_hat = basis @ self.beta_mean
         # s0^[j] per draw, then the plain average over draws
-        s_draws = 1.0 / np.sqrt(1.0 + (basis * basis) @ self.var_matrix().T)
-        s_hat = s_draws.mean(axis=1)
+        s_hat = scaling_factors(basis, self.var_matrix().T).mean(axis=1)
         if single:
             return float(f_hat[0]), float(s_hat[0])
         return f_hat, s_hat
 
 
-def _pseudo_z(margin, y):
-    u = np.clip(margin.cdf(y), margin.eps_f, 1.0 - margin.eps_f)
-    return ndtri(u)
-
-
 def predict_density(pm: PredictiveModel, x0, y_grid) -> np.ndarray:
     """Predictive density evaluated on ``y_grid``; nonnegative everywhere."""
     f_hat, s_hat = pm.location_scale(x0)
-    y_grid = np.asarray(y_grid, dtype=float)
-    z = _pseudo_z(pm.margin, y_grid)
-    log_density = (pm.margin.logpdf(y_grid) - _log_phi(z)
-                   + _log_phi((z - s_hat * f_hat) / s_hat) - np.log(s_hat))
-    return np.exp(log_density)
+    return np.exp(PredictiveKernel(pm.margin, y_grid).logpdf(f_hat, s_hat))
 
 
 def predict_density_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
     """Density of each observation under its own predictive law (paired rows)."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_values = np.asarray(y_values, dtype=float)
-    f_all, s_all = pm.location_scale(x_rows)
-    f_all = np.atleast_1d(f_all)
-    s_all = np.atleast_1d(s_all)
-    z = _pseudo_z(pm.margin, y_values)
-    log_density = (pm.margin.logpdf(y_values) - _log_phi(z)
-                   + _log_phi((z - s_all * f_all) / s_all) - np.log(s_all))
-    return np.exp(log_density)
-
-
-def predict_cdf_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
-    """CDF of each observation under its own predictive law (paired rows)."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
-    y_values = np.asarray(y_values, dtype=float)
-    f_all, s_all = pm.location_scale(x_rows)
-    z = _pseudo_z(pm.margin, y_values)
-    return ndtr((z - np.atleast_1d(f_all) * np.atleast_1d(s_all))
-                / np.atleast_1d(s_all))
+    return predict_density(pm, np.atleast_2d(x_rows), y_values)
 
 
 def predict_cdf(pm: PredictiveModel, x0, y):
     """Predictive distribution function Phi((z(y) - s f) / s)."""
     f_hat, s_hat = pm.location_scale(x0)
-    z = _pseudo_z(pm.margin, np.asarray(y, dtype=float))
-    return ndtr((z - s_hat * f_hat) / s_hat)
+    return PredictiveKernel(pm.margin, y).cdf(f_hat, s_hat)
+
+
+def predict_cdf_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
+    """CDF of each observation under its own predictive law (paired rows)."""
+    return predict_cdf(pm, np.atleast_2d(x_rows), y_values)
+
+
+def _margin_level(f_hat, s_hat, p):
+    """Margin CDF level F(y) of the predictive p-quantile y; broadcasts."""
+    u = ndtr(s_hat * f_hat + s_hat * ndtri(p))
+    return np.clip(u, 1e-300, 1.0 - 1e-16)
 
 
 def predict_quantile(pm: PredictiveModel, x0, p):
@@ -138,82 +118,68 @@ def predict_quantile(pm: PredictiveModel, x0, p):
     if np.any((p_arr <= 0.0) | (p_arr >= 1.0)):
         raise DomainError("quantile level must lie strictly in (0, 1)")
     f_hat, s_hat = pm.location_scale(x0)
-    u = ndtr(s_hat * f_hat + s_hat * ndtri(p_arr))
-    u = np.clip(u, 1e-300, 1.0 - 1e-16)
-    out = pm.margin.quantile(u)
-    out = np.atleast_1d(out)
+    out = np.atleast_1d(pm.margin.quantile(_margin_level(f_hat, s_hat, p_arr)))
     return out if np.ndim(p) else float(out[0])
 
 
-def sample_predictive(pm: PredictiveModel, x0, size, rng,
-                      exact=False) -> np.ndarray:
-    """Transform sampling: z0 ~ N(s f, s^2), y0 = F^{-1}(Phi(z0)).
-
-    The quantile map uses the tabulated transform curve unless ``exact``;
-    exact inversion bisects per draw and is markedly slower.
-    """
+def sample_predictive(pm: PredictiveModel, x0, size, rng) -> np.ndarray:
+    """Transform sampling z0 ~ N(s f, s^2), y0 = F^{-1}(Phi(z0)), on the curve."""
     f_hat, s_hat = pm.location_scale(x0)
     z0 = s_hat * f_hat + s_hat * rng.standard_normal(size)
-    if exact:
-        u = np.clip(ndtr(z0), 1e-300, 1.0 - 1e-16)
-        return pm.margin.quantile(u)
     return pm.transform_curve().lookup(z0)
 
 
 def default_grid(pm: PredictiveModel, x0, num=GRID_SIZE, tail=GRID_TAIL):
     """Grid covering the predictive quantile range (tail, 1 - tail)."""
-    lo = predict_quantile(pm, x0, tail)
-    hi = predict_quantile(pm, x0, 1.0 - tail)
-    return np.linspace(lo, hi, num)
+    return np.linspace(*predict_quantile(pm, x0, [tail, 1.0 - tail]), num)
 
 
 def margin_grid(margin: MarginModel, num=GRID_SIZE, tail=GRID_TAIL):
     """Shared grid covering the margin's quantile range; use for averages."""
-    return np.linspace(margin.quantile(tail), margin.quantile(1.0 - tail),
-                       num)
+    return np.linspace(*margin.quantile([tail, 1.0 - tail]), num)
 
 
-def average_predictive_density(pm: PredictiveModel, x_rows, y_grid,
-                               chunk=512) -> np.ndarray:
+def _row_mean(pm, x_rows, y_grid, law):
+    """Mean over feature rows of ``law(kernel, f, s)`` on a shared grid."""
+    kernel = PredictiveKernel(pm.margin, y_grid)
+    f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
+    total = np.zeros_like(kernel.z)
+    for start in range(0, f_all.size, ROW_CHUNK):
+        rows = slice(start, start + ROW_CHUNK)
+        total += law(kernel, f_all[rows, None], s_all[rows, None]).sum(axis=0)
+    return total / f_all.size
+
+
+def average_predictive_density(pm: PredictiveModel, x_rows,
+                               y_grid) -> np.ndarray:
     """Pointwise mean of the predictive densities at each feature row."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
-    z = _pseudo_z(pm.margin, y_grid)
-    log_ratio = pm.margin.logpdf(y_grid) - _log_phi(z)
-    f_all, s_all = pm.location_scale(x_rows)
-    total = np.zeros_like(y_grid)
-    n = x_rows.shape[0]
-    for start in range(0, n, chunk):
-        f = f_all[start:start + chunk, None]
-        s = s_all[start:start + chunk, None]
-        log_dens = (log_ratio[None, :]
-                    + _log_phi((z[None, :] - s * f) / s) - np.log(s))
-        total += np.exp(log_dens).sum(axis=0)
-    return total / n
+    return _row_mean(pm, x_rows, y_grid,
+                     lambda kernel, f, s: np.exp(kernel.logpdf(f, s)))
 
 
 def average_predictive_cdf(pm: PredictiveModel, x_rows, y_grid) -> np.ndarray:
     """Pointwise mean of the predictive CDFs; the marginal-calibration curve."""
-    x_rows = np.asarray(x_rows, dtype=float)
-    y_grid = np.asarray(y_grid, dtype=float)
-    z = _pseudo_z(pm.margin, y_grid)
-    f_all, s_all = pm.location_scale(x_rows)
-    vals = ndtr((z[None, :] - (s_all * f_all)[:, None]) / s_all[:, None])
-    return vals.mean(axis=0)
+    return _row_mean(pm, x_rows, y_grid, PredictiveKernel.cdf)
 
 
 def export_density_csv(pm: PredictiveModel, x_rows, out_dir, prefix="pred",
                        num=GRID_SIZE):
-    """One (y, density, cdf) CSV per observation index; returns the paths."""
-    x_rows = np.atleast_2d(np.asarray(x_rows, dtype=float))
+    """One (y, density, cdf) CSV per observation index; returns the paths.
+
+    Each file's grid is the row's :func:`default_grid`.
+    """
+    f_all, s_all = pm.location_scale(np.atleast_2d(x_rows))
+    tails = np.array([GRID_TAIL, 1.0 - GRID_TAIL])
     paths = []
-    for i, row in enumerate(x_rows):
-        grid = default_grid(pm, row, num=num)
-        dens = predict_density(pm, row, grid)
-        cdf = predict_cdf(pm, row, grid)
+    for i, (f_hat, s_hat) in enumerate(zip(f_all, s_all)):
+        ends = pm.margin.quantile(_margin_level(f_hat, s_hat, tails))
+        kernel = PredictiveKernel(pm.margin, np.linspace(*ends, num))
         path = os.path.join(out_dir, f"{prefix}_{i:05d}.csv")
-        np.savetxt(path, np.column_stack([grid, dens, cdf]), delimiter=",",
-                   header="y,density,cdf", comments="", fmt="%.17g")
+        np.savetxt(path, np.column_stack([kernel.y,
+                                          np.exp(kernel.logpdf(f_hat, s_hat)),
+                                          kernel.cdf(f_hat, s_hat)]),
+                   delimiter=",", header="y,density,cdf", comments="",
+                   fmt="%.17g")
         paths.append(path)
     return paths
 
@@ -242,15 +208,14 @@ def predictive_expectation(pm: PredictiveModel, x_rows, func=None, nodes=64,
                            curve: TransformCurve | None = None):
     """E[g(Y0) | x0] for each feature row by Gauss-Hermite quadrature.
 
-    ``func`` defaults to the identity (posterior-mean point estimates).
+    ``func`` defaults to the identity (posterior-mean point estimates);
+    ``curve`` defaults to the model's cached transform curve.
     """
     if curve is None:
-        curve = TransformCurve(pm.margin)
+        curve = pm.transform_curve()
     t, w = np.polynomial.hermite_e.hermegauss(nodes)
     w = w / np.sqrt(2.0 * np.pi)
-    f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
-    f_all = np.atleast_1d(f_all)
-    s_all = np.atleast_1d(s_all)
+    f_all, s_all = pm.location_scale(np.atleast_2d(x_rows))
     z_nodes = s_all[:, None] * f_all[:, None] + s_all[:, None] * t[None, :]
     y_nodes = curve.lookup(z_nodes)
     vals = y_nodes if func is None else func(y_nodes)

@@ -169,3 +169,61 @@ def test_exit_codes(tmp_path, dataset_csv):
                         {"dataset": str(tmp_path / "nope.csv"), "seed": 1})
     assert main(["fit", "--config", cfg2,
                  "--out", str(tmp_path / "o")]) == EXIT_DATA
+
+
+def test_fit_bundle_keeps_variant_and_refit_honours_config(
+        tmp_path, dataset_csv, monkeypatch):
+    import copreg.cli as cli
+    from copreg.nnet.layers import Dropout
+    from copreg.pipeline import CopulaRegression
+
+    fit_cfg = write_config(tmp_path / "fit.json", {
+        "dataset": dataset_csv, "network": {"width": 8, "dropout": 0.1},
+        "train": {"epochs": 10},
+        "mcmc": {"variant": "ridge", "burnin": 20, "draws": 40, "thin": 2}})
+    bundle = tmp_path / "bundle"
+    assert main(["fit", "--config", fit_cfg, "--out", str(bundle),
+                 "--seed", "4"]) == 0
+    meta = CopulaRegression.load(str(bundle)).meta
+    assert meta["variant"] == "ridge"
+    assert meta["thin"] == 2
+    assert meta["task"] == "fit"
+
+    calls = []
+    real_fit = cli.fit_copula_regression
+
+    def spy(x, y, **kwargs):
+        calls.append(kwargs)
+        return real_fit(x, y, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_copula_regression", spy)
+    cal_cfg = write_config(tmp_path / "cal.json",
+                           {"bundle": str(bundle), "dataset": dataset_csv,
+                            "folds": 2})
+    assert main(["calibrate", "--config", cal_cfg,
+                 "--out", str(tmp_path / "cal"), "--seed", "4"]) == 0
+    assert len(calls) == 2
+    for kwargs in calls:
+        assert kwargs["variant"] == "ridge"
+        assert kwargs["thin"] == 2
+        rates = [layer.rate for layer in kwargs["network"].layers
+                 if isinstance(layer, Dropout)]
+        assert rates and all(rate == 0.1 for rate in rates)
+
+
+@pytest.mark.parametrize("task,options", [
+    ("fit", {"train": {"epochs": 0}}),
+    ("fit", {"train": {"epoch": 3}}),
+    ("lfi-fit", {"lfi_fit": {"epochs": 0}}),
+    ("lfi-fit", {"lfi_fit": {"epoch": 3}}),
+    ("lfi", {"lfi_fit": {"epochs": 0}}),
+])
+def test_bad_training_options_exit_config(tmp_path, dataset_csv, task,
+                                          options):
+    payload = {"dataset": dataset_csv, "simulator": "blowfly",
+               "data_dir": str(tmp_path / "no_data"), **options}
+    cfg = write_config(tmp_path / "bad.json", payload)
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    assert not (out / "train.csv").exists()

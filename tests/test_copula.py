@@ -454,3 +454,9 @@ def test_shrinkage_state_validation():
                        nu=np.ones(2), xi=1.0)
     with pytest.raises(DomainError):
         ShrinkageState("lasso", tau2=1.0)
+
+
+def test_slice_sampler_nan_target_raises_instead_of_hanging():
+    from copreg.copula import _slice_sample
+    with pytest.raises(NumericalError, match="slice"):
+        _slice_sample(lambda x: float("nan"), 0.0, np.random.default_rng(0))

@@ -148,3 +148,12 @@ def test_margin_grid_csv(tmp_path, normal_margin):
     rows = np.loadtxt(path, delimiter=",", skiprows=1)
     assert rows.shape == (64, 3)
     assert np.all(np.diff(rows[:, 2]) >= 0)
+
+
+def test_quantile_terminates_at_large_response_scale():
+    # near 2e6 the float spacing exceeds the 1e-10 bisection width
+    rng = np.random.default_rng(0)
+    y = 2e6 + 3e5 * rng.normal(size=200)
+    med = fit_kde(y).quantile(0.5)
+    assert np.isfinite(med)
+    assert y.min() < med < y.max()
