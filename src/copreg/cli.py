@@ -29,6 +29,7 @@ from .calibration import (
     mean_log_score,
     probability_calibration,
 )
+from .copula import VARIANTS
 from .errors import (
     ConfigError,
     DataError,
@@ -161,24 +162,42 @@ def _write_manifest(out_dir, cfg, seed, extra=None):
 # -- tabular commands ----------------------------------------------------------------
 
 
-def _fit_tabular(cfg, x, y, seed):
-    """The copula regression that a ``fit`` config describes, fitted to (x, y)."""
-    net_opts = cfg.get("network", {})
-    mcmc = cfg.get("mcmc", {})
-    network = build_ffn(x.shape[1], width=int(net_opts.get("width", 64)),
-                        dropout_rate=float(net_opts.get("dropout", 0.5)),
-                        seed=seed)
-    return fit_copula_regression(
-        x, y, variant=mcmc.get("variant", "horseshoe"), network=network,
-        train_cfg=_train_cfg(cfg, seed), burnin=int(mcmc.get("burnin", 1000)),
-        draws=int(mcmc.get("draws", 1000)), thin=int(mcmc.get("thin", 1)),
-        seed=seed)
+def _network_options(width=64, dropout=0.5):
+    opts = {"width": int(width), "dropout_rate": float(dropout)}
+    if opts["width"] < 1:
+        raise ValueError("width must be >= 1")
+    build_ffn(1, **opts)  # a bad dropout rate fails here
+    return opts
+
+
+def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown shrinkage variant {variant!r}; "
+                         f"expected one of {VARIANTS}")
+    return {"variant": variant, "burnin": int(burnin), "draws": int(draws),
+            "thin": int(thin)}
+
+
+def _tabular_options(cfg, seed):
+    """The checked network, training and sampler options of a ``fit`` config."""
+    return (_options(_network_options, cfg.get("network", {}), "network"),
+            _train_cfg(cfg, seed),
+            _options(_mcmc_options, cfg.get("mcmc", {}), "mcmc"))
+
+
+def _fit_tabular(options, x, y, seed):
+    """The copula regression that checked ``fit`` options describe, fitted to (x, y)."""
+    net_opts, train_cfg, mcmc = options
+    network = build_ffn(x.shape[1], seed=seed, **net_opts)
+    return fit_copula_regression(x, y, network=network, train_cfg=train_cfg,
+                                 seed=seed, **mcmc)
 
 
 def cmd_fit(cfg, out_dir, seed):
+    options = _tabular_options(cfg, seed)
     header, table = load_table(_require(cfg, "dataset", "fit"))
     x, y = table[:, :-1], table[:, -1]
-    fit = _fit_tabular(cfg, x, y, seed)
+    fit = _fit_tabular(options, x, y, seed)
     fit.meta.update({"dataset": os.path.basename(cfg["dataset"]),
                      "response": header[-1], "task": "fit", "config": cfg,
                      "config_hash": config_hash(cfg)})
@@ -203,6 +222,10 @@ def cmd_predict(cfg, out_dir, seed):
 def cmd_calibrate(cfg, out_dir, seed):
     bundle_dir = _require(cfg, "bundle", "calibrate")
     fit = CopulaRegression.load(bundle_dir)
+    folds = int(cfg.get("folds", 10))
+    if folds >= 2:
+        refit_options = _tabular_options(
+            fit.meta.get("config", cfg.get("refit", {})), seed)
     header, table = load_table(_require(cfg, "dataset", "calibrate"))
     x, y = table[:, :-1], table[:, -1]
     pm = fit.predictive
@@ -218,11 +241,8 @@ def cmd_calibrate(cfg, out_dir, seed):
     mls_in = mean_log_score(dens_at)
     mls_in_se = log_score_se(dens_at) if np.isfinite(mls_in) else float("nan")
 
-    folds = int(cfg.get("folds", 10))
-    fit_conf = fit.meta.get("config", cfg.get("refit", {}))
-
     def refit(x_tr, y_tr):
-        model = _fit_tabular(fit_conf, x_tr, y_tr, seed).predictive
+        model = _fit_tabular(refit_options, x_tr, y_tr, seed).predictive
         return lambda x_te, y_te: predict_density_at(model, x_te, y_te)
 
     if folds >= 2:

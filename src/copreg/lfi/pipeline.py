@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+from ..copula import VARIANTS
 from ..errors import ConfigError, DataError, SimulationDivergedError
 
 from ..nnet import TrainConfig, build_cnn
@@ -173,6 +174,9 @@ class LfiFitConfig:
 
     def __post_init__(self):
         self.train_config(seed=0)  # bad training options fail here, early
+        if self.variant not in VARIANTS:
+            raise ValueError(f"unknown shrinkage variant {self.variant!r}; "
+                             f"expected one of {VARIANTS}")
 
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,

@@ -227,3 +227,49 @@ def test_bad_training_options_exit_config(tmp_path, dataset_csv, task,
     assert main([task, "--config", cfg, "--out", str(out),
                  "--seed", "1"]) == EXIT_CONFIG
     assert not (out / "train.csv").exists()
+
+
+@pytest.mark.parametrize("task,options", [
+    ("fit", {"network": {"dropout": 1.0}}),
+    ("fit", {"network": {"depth": 3}}),
+    ("fit", {"mcmc": {"variant": "lasso"}}),
+    ("lfi-fit", {"lfi_fit": {"variant": "lasso"}}),
+    ("lfi", {"lfi_fit": {"variant": "lasso"}}),
+])
+def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
+                                                          options):
+    # the dataset and data_dir do not exist: a data error (exit 3) would mean
+    # the options were checked only after trying to load them
+    payload = {"dataset": str(tmp_path / "missing.csv"),
+               "simulator": "blowfly", "data_dir": str(tmp_path / "no_data"),
+               **options}
+    cfg = write_config(tmp_path / "bad.json", payload)
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_calibrate_rejects_bad_refit_options_before_refitting(
+        tmp_path, dataset_csv, monkeypatch):
+    import copreg.cli as cli
+
+    bundle = tmp_path / "bundle"
+    fit_cfg = write_config(tmp_path / "fit.json",
+                           {"dataset": dataset_csv, **FAST_FIT})
+    assert main(["fit", "--config", fit_cfg, "--out", str(bundle),
+                 "--seed", "2"]) == 0
+    manifest = bundle / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["mcmc"]["variant"] = "lasso"
+    manifest.write_text(json.dumps(doc))
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("refit started")
+
+    monkeypatch.setattr(cli, "fit_copula_regression", no_refit)
+    cal_cfg = write_config(tmp_path / "cal.json",
+                           {"bundle": str(bundle), "dataset": dataset_csv,
+                            "folds": 2})
+    assert main(["calibrate", "--config", cal_cfg,
+                 "--out", str(tmp_path / "cal"), "--seed", "2"]) == EXIT_CONFIG

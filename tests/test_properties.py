@@ -1,11 +1,19 @@
 """Property tests of the predictive kernel and the margin, over random models."""
 
+import tracemalloc
+
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import logsumexp, ndtr
 
 from copreg.copula import ShrinkageState
-from copreg.margin import fit_kde
+from copreg.margin import (
+    BANDWIDTH_GRID_SIZE,
+    MarginModel,
+    PredictiveKernel,
+    fit_kde,
+)
 from copreg.predict import (
     PredictiveModel,
     average_predictive_cdf,
@@ -103,3 +111,131 @@ def test_margin_quantile_inverts_cdf_at_any_scale(seed, loc, log_scale, n,
     back = margin.quantile(margin.cdf(y))
     tol = 1e-10 + 4.0 * np.spacing(abs(y)) + 1e-9 * margin.bandwidth
     assert abs(back - y) <= tol
+
+
+# -- the margin against the all-pairs and dense (queries x sample) oracles ------
+
+KINDS = st.sampled_from(["normal", "lognormal", "student2", "integers",
+                         "rounded", "clusters"])
+
+
+def margin_sample(kind, seed, n):
+    """Samples with ties (integers, rounded) and heavy tails (student2)."""
+    rng = np.random.default_rng(seed)
+    if kind == "normal":
+        return rng.uniform(-50, 50) + rng.uniform(0.1, 10) * rng.normal(size=n)
+    if kind == "lognormal":
+        return np.exp(rng.normal(0.0, rng.uniform(0.3, 1.5), size=n))
+    if kind == "student2":
+        return rng.standard_t(2, size=n)
+    if kind == "integers":  # like the blowfly delay
+        return rng.integers(2, int(rng.integers(4, 60)), size=n).astype(float)
+    if kind == "rounded":
+        return np.round(3.0 * rng.normal(size=n), 1)
+    far = rng.uniform(5.0, 500.0)
+    return np.concatenate([rng.normal(size=n - n // 3 - 1),
+                           far + 0.01 * rng.normal(size=n // 3), [-far]])
+
+
+def oracle_bandwidth(y):
+    """The grid-searched LSCV bandwidth summed over all n(n-1)/2 pairs."""
+    n = y.size
+    sd = np.std(y, ddof=1)
+    grid = np.exp(np.linspace(np.log(sd / (10.0 * n)), np.log(10.0 * sd),
+                              BANDWIDTH_GRID_SIZE))
+    i, j = np.triu_indices(n, k=1)
+    q = (y[i] - y[j]) ** 2
+    costs = []
+    for h in grid:
+        e = np.exp(q * (-0.5 / (h * h)))
+        quad = (2.0 * np.sqrt(e).sum() + n) / (2.0 * np.sqrt(np.pi) * h * n * n)
+        fit = 2.0 * e.sum() / (np.sqrt(2.0 * np.pi) * h * n * (n - 1))
+        costs.append(quad - 2.0 * fit)
+    return float(grid[int(np.argmin(costs))])
+
+
+def dense_margin(margin, y):
+    """CDF, density and log density summed over every (query, sample) term."""
+    t = (y[:, None] - margin.sample) / margin.bandwidth
+    log_norm = np.log(margin.sample.size * margin.bandwidth * np.sqrt(2 * np.pi))
+    logpdf = logsumexp(-0.5 * t * t, axis=1) - log_norm
+    return ndtr(t).mean(axis=1), np.exp(-0.5 * t * t).sum(axis=1) / np.exp(log_norm), logpdf
+
+
+@settings(max_examples=60)
+@given(KINDS, SEEDS, st.integers(5, 400))
+def test_bandwidth_matches_all_pairs_oracle(kind, seed, n):
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    assert fit_kde(y).bandwidth == oracle_bandwidth(y)
+
+
+@settings(max_examples=6)
+@given(KINDS, SEEDS, st.integers(600, 1600))
+def test_binned_bandwidth_matches_all_pairs_oracle(kind, seed, n):
+    # enough distinct values that the larger bandwidths are binned
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    assert fit_kde(y).bandwidth == oracle_bandwidth(y)
+
+
+def assert_close_where_normal(got, want, rtol):
+    """Relative agreement where the oracle is a normal float, else both tiny.
+
+    Sums of subnormal terms carry no relative precision, so below 1e-280 the
+    oracle only bounds the value.
+    """
+    normal = want > 1e-280
+    np.testing.assert_allclose(got[normal], want[normal], rtol=rtol, atol=0)
+    assert np.all((got[~normal] >= 0) & (got[~normal] <= 1e-279))
+
+
+@settings(max_examples=60)
+@given(KINDS, SEEDS, st.integers(5, 300), st.floats(0.05, 5.0))
+def test_windowed_evaluation_matches_dense_sums(kind, seed, n, widen):
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    h = widen * fit_kde(y).bandwidth
+    margin = MarginModel(np.sort(y), h)
+    rng = np.random.default_rng(seed)
+    span = y.max() - y.min() + 60.0 * h
+    queries = np.concatenate([
+        rng.choice(y, 40) + h * rng.normal(scale=3.0, size=40),
+        np.linspace(y.min() - span, y.max() + span, 80),
+        [-1e6, 1e6, y.min() - 40.0 * h, y.max() + 40.0 * h]])
+    cdf, pdf, logpdf = dense_margin(margin, queries)
+    got_cdf, got_logpdf = margin.cdf_logpdf(queries)
+    np.testing.assert_array_equal(got_cdf, margin.cdf(queries))
+    np.testing.assert_array_equal(got_logpdf, margin.logpdf(queries))
+    assert_close_where_normal(got_cdf, cdf, 1e-12)
+    assert_close_where_normal(margin.pdf(queries), pdf, 1e-12)
+    # at +-1e6 the log density is near -1e13, where float spacing is ~1e-3
+    np.testing.assert_allclose(got_logpdf, logpdf, rtol=1e-13, atol=1e-10)
+
+
+@settings(max_examples=60)
+@given(KINDS, SEEDS, st.integers(5, 300), st.floats(-1.0, 1.0))
+def test_quantile_recovers_points_from_their_cdf(kind, seed, n, offset):
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    margin = fit_kde(y)
+    # within a bandwidth of a data point the density is bounded below
+    points = margin.sample[np.random.default_rng(seed).integers(n, size=20)]
+    points = points + offset * margin.bandwidth
+    back = margin.quantile(margin.cdf(points))
+    np.testing.assert_allclose(back, points, rtol=0, atol=1e-8)
+
+
+def test_margin_at_paper_scale_fits_in_memory():
+    # n = 20000: the all-pairs search held ~8 GB, the dense log density 3 GB
+    rng = np.random.default_rng(20_000)
+    y = 1.0 + np.exp(rng.normal(0.0, 0.9, size=20_000))
+    tracemalloc.start()
+    try:
+        margin = fit_kde(y)
+        logpdf = PredictiveKernel(margin, y).logpdf(0.3, 1.2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(logpdf))
+    assert peak < 64 * 2**20
