@@ -1,8 +1,9 @@
 """Small-scale likelihood-free inference on the blowfly simulator.
 
 Simulates (parameter, series) pairs under the prior, fits one convolutional
-copula regression per parameter with the log-parameter as response, and
-reads approximate marginal posteriors off the predictive distributions.
+copula regression per parameter with the parameter on its prior's axis (log
+for these lognormal priors) as response, and reads approximate marginal
+posteriors off the predictive distributions.
 Desk-scale settings keep this to a few minutes; scale n_total and the
 network for production runs.
 """
@@ -38,22 +39,21 @@ for j, name in enumerate(model.prior.names):
     print(f"  fitted regressor for {name}")
 
 table = eval_simulation(models, test_b)
-prior_ref = np.log(model.prior.sample_matrix(np.random.default_rng(99),
-                                             20_000))
+prior_ref = model.prior.sample_matrix(np.random.default_rng(99), 20_000)
 print(f"{'parameter':22s} {'mse':>7s} {'se':>7s} {'cover':>6s} {'margcal':>8s}")
-for j, name in enumerate(model.prior.names):
-    row = table[name]
-    dist = marginal_calibration_distance(models[j], test_b, prior_ref[:, j])
-    print(f"{name:22s} {row['mse']:7.3f} {row['se']:7.3f} "
+for j, prior in enumerate(model.prior.params):
+    row = table[prior.name]
+    dist = marginal_calibration_distance(models[j], test_b,
+                                         prior.to_axis(prior_ref[:, j]))
+    print(f"{prior.name:22s} {row['mse']:7.3f} {row['se']:7.3f} "
           f"{row['coverage']:6.2f} {dist:8.3f}")
 
 # composite out-of-sample scores at the posterior-mean parameters for one
 # held-out series, treated as the observed data
 observed = test_b.series[0].astype(float)
-rho_hat = np.array([predictive_expectation(models[j], observed[None, :],
-                                           func=np.exp)[0]
-                    for j in range(len(models))])
-rho_hat[4] = max(1.0, round(rho_hat[4]))  # the lag is an integer
+rho_hat = np.array([prior.rounded(predictive_expectation(
+    models[j], observed[None, :], func=prior.from_axis)[0])
+    for j, prior in enumerate(model.prior.params)])
 cls, ces = composite_scores(rho_hat, observed, model, reps=400,
                             rng=np.random.default_rng(123))
 print(f"composite log score {cls:.2f}, negated energy score {ces:.2f}")

@@ -43,8 +43,13 @@ def mean_log_score(density_at_truth) -> float:
 
 
 def log_score_se(density_at_truth) -> float:
-    logs = np.log(np.asarray(density_at_truth, dtype=float))
-    return float(logs.std(ddof=1) / np.sqrt(logs.size))
+    return log_score(np.log(np.asarray(density_at_truth, dtype=float)))[1]
+
+
+def log_score(logpdf_at_truth):
+    """``(mean, standard error)`` of log predictive densities at the truths."""
+    logs = np.asarray(logpdf_at_truth, dtype=float)
+    return float(logs.mean()), float(logs.std(ddof=1) / np.sqrt(logs.size))
 
 
 def kfold_split(n, folds, seed):
@@ -59,7 +64,7 @@ def kfold_mls(x, y, fit_predict, folds=10, seed=0):
     """Mean out-of-sample log score over a k-fold partition.
 
     ``fit_predict(x_train, y_train)`` must return a callable
-    ``(x_test, y_test) -> density values at the test truths`` and be
+    ``(x_test, y_test) -> log density values at the test truths`` and be
     deterministic given its inputs (seed anything internal).
 
     Returns ``(mls, se, fold_means)``: the mean of fold means, a pooled
@@ -74,42 +79,13 @@ def kfold_mls(x, y, fit_predict, folds=10, seed=0):
         mask = np.ones(y.size, dtype=bool)
         mask[held] = False
         predict = fit_predict(x[mask], y[mask])
-        dens = np.asarray(predict(x[held], y[held]), dtype=float)
-        if np.any(dens <= 0.0):
-            warnings.warn("zero out-of-sample density; fold score is -inf",
-                          RuntimeWarning)
-            fold_means.append(float("-inf"))
-            pooled.extend([-np.inf] * held.size)
-            continue
-        logs = np.log(dens)
-        fold_means.append(float(logs.mean()))
-        pooled.extend(logs.tolist())
-    pooled_arr = np.asarray(pooled)
-    mls = float(np.mean(fold_means))
-    se = (float(pooled_arr.std(ddof=1) / np.sqrt(pooled_arr.size))
-          if np.all(np.isfinite(pooled_arr)) else float("nan"))
-    return mls, se, fold_means
+        pooled.append(np.asarray(predict(x[held], y[held]), dtype=float))
+        fold_means.append(float(pooled[-1].mean()))
+    return (float(np.mean(fold_means)), log_score(np.concatenate(pooled))[1],
+            fold_means)
 
 
 # -- isotonic recalibration ------------------------------------------------------
-
-
-def _pava(y, w):
-    """Pool-adjacent-violators for a nondecreasing fit (level, weight stacks)."""
-    levels = []
-    weights = []
-    for yi, wi in zip(y, w):
-        levels.append(float(yi))
-        weights.append(float(wi))
-        while len(levels) > 1 and levels[-2] > levels[-1]:
-            wa, wb = weights[-2], weights[-1]
-            merged = (levels[-2] * wa + levels[-1] * wb) / (wa + wb)
-            levels[-2:] = [merged]
-            weights[-2:] = [wa + wb]
-    out = []
-    for level, weight in zip(levels, weights):
-        out.extend([level] * int(round(weight)))
-    return np.asarray(out)
 
 
 @dataclass
@@ -131,18 +107,16 @@ class IsotonicMap:
 def recalibrate_isotonic(cdf_at_truth) -> IsotonicMap:
     """Fit the recalibration map from training-forecast CDF values.
 
-    Pairs are (sorted u_i, empirical coverage at u_i); pool-adjacent-
-    violators enforces monotonicity (ties can locally violate it), and the
-    endpoints (0,0) and (1,1) anchor the map.
+    Pairs are (sorted u_i, empirical coverage at u_i), anchored by (0,0) and
+    (1,1); the coverage is nondecreasing in u_i, ties included, so it is its
+    own isotonic (pool-adjacent-violators) fit.
     """
     u = np.sort(np.asarray(cdf_at_truth, dtype=float))
     if np.any((u < 0.0) | (u > 1.0)):
         raise DomainError("CDF values must lie in [0, 1]")
-    n = u.size
-    emp = np.searchsorted(u, u, side="right") / n
-    fitted = _pava(emp, np.ones(n))
+    emp = np.searchsorted(u, u, side="right") / u.size
     x = np.concatenate([[0.0], u, [1.0]])
-    yv = np.concatenate([[0.0], fitted, [1.0]])
+    yv = np.concatenate([[0.0], emp, [1.0]])
     keep = np.concatenate([[True], np.diff(x) > 0.0])
     return IsotonicMap(knots_x=x[keep], knots_y=np.clip(yv[keep], 0.0, 1.0))
 

@@ -25,8 +25,7 @@ from .calibration import (
     P_GRID,
     CalibrationReport,
     kfold_mls,
-    log_score_se,
-    mean_log_score,
+    log_score,
     probability_calibration,
 )
 from .copula import VARIANTS
@@ -63,7 +62,8 @@ from .predict import (
     export_density_csv,
     margin_grid,
     predict_cdf_at,
-    predict_density_at,
+    predict_logpdf_at,
+    predictive_expectation,
 )
 
 EXIT_OK = 0
@@ -237,13 +237,11 @@ def cmd_calibrate(cfg, out_dir, seed):
     avg_density = average_predictive_density(pm, x, grid)
     avg_cdf = average_predictive_cdf(pm, x, grid)
 
-    dens_at = predict_density_at(pm, x, y)
-    mls_in = mean_log_score(dens_at)
-    mls_in_se = log_score_se(dens_at) if np.isfinite(mls_in) else float("nan")
+    mls_in, mls_in_se = log_score(predict_logpdf_at(pm, x, y))
 
     def refit(x_tr, y_tr):
         model = _fit_tabular(refit_options, x_tr, y_tr, seed).predictive
-        return lambda x_te, y_te: predict_density_at(model, x_te, y_te)
+        return lambda x_te, y_te: predict_logpdf_at(model, x_te, y_te)
 
     if folds >= 2:
         mls_k, mls_k_se, fold_scores = kfold_mls(x, y, refit, folds=folds,
@@ -311,7 +309,7 @@ def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     lfi_cfg = _lfi_config(cfg)
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     train_path = os.path.join(data_dir, "train.csv")
-    train_b = SimBatch.load_csv(train_path, param_names=model.prior.names)
+    train_b = SimBatch.load_csv(train_path, prior=model.prior)
     os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(model.prior.names):
         bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=seed * 7919 + j,
@@ -326,34 +324,33 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     fit_dir = fit_dir or cfg.get("fit_dir", out_dir)
     test_b = SimBatch.load_csv(os.path.join(data_dir, "test.csv"),
-                               param_names=model.prior.names)
+                               prior=model.prior)
     models = []
-    for name in model.prior.names:
+    for prior in model.prior.params:
         bundle = CopulaRegression.load(os.path.join(fit_dir,
-                                                    f"param_{name}"))
+                                                    f"param_{prior.name}"))
+        if bundle.meta.get("axis") != prior.axis:
+            raise DataError(f"param_{prior.name} was not fitted on its "
+                            f"prior's {prior.axis} axis")
         models.append(bundle.predictive)
 
     table = eval_simulation(models, test_b)
 
     rng = np.random.default_rng(seed)
-    calib = {}
-    prior_reference = np.log(model.prior.sample_matrix(
-        np.random.default_rng(seed + 1), 20_000))
-    for j, name in enumerate(model.prior.names):
-        calib[name] = marginal_calibration_distance(
-            models[j], test_b, prior_reference[:, j])
+    reference = model.prior.sample_matrix(np.random.default_rng(seed + 1),
+                                          20_000)
+    calib = {prior.name: marginal_calibration_distance(
+        models[j], test_b, prior.to_axis(reference[:, j]))
+        for j, prior in enumerate(model.prior.params)}
 
     observed = test_b.series[0].astype(float)
     if cfg.get("observed_series"):
         _, obs_table = load_table(cfg["observed_series"])
         observed = obs_table[0]
-    from .predict import predictive_expectation
     rho_hat = np.array([
-        predictive_expectation(models[j], observed[None, :],
-                               func=np.exp)[0]
-        for j in range(len(models))])
-    if model.name == "blowfly":
-        rho_hat[4] = max(1.0, round(rho_hat[4]))  # integer lag
+        prior.rounded(predictive_expectation(models[j], observed[None, :],
+                                             func=prior.from_axis)[0])
+        for j, prior in enumerate(model.prior.params)])
     cls, ces = composite_scores(rho_hat, observed, model,
                                 train_frac=float(cfg.get("train_frac", 0.8)),
                                 reps=int(cfg.get("score_reps", 1000)),

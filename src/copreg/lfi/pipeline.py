@@ -1,9 +1,9 @@
 """Likelihood-free inference: simulate under the prior, regress parameters on
 series, read posteriors off the predictive distributions at the observed data.
 
-Each scalar parameter gets its own regression with response log(rho_j) and
-the raw series as features; the fitted predictive density at a series is the
-approximate marginal posterior of that parameter.
+Each scalar parameter gets its own regression with response rho_j on its
+prior's axis (log or logit) and the raw series as features; the fitted
+predictive density at a series is its approximate marginal posterior.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from ..predict import (
     predict_cdf_at,
     predictive_expectation,
 )
-from .priors import PriorSpec, default_blowfly_prior, default_voles_prior
+from .priors import ParamPrior, PriorSpec, default_blowfly_prior, default_voles_prior
 from .simulators import (
     BlowflyParams,
     VolesParams,
@@ -78,12 +78,14 @@ def voles_model(prior=None, series_length=90, **sim_options) -> SimModel:
 
 @dataclass
 class SimBatch:
-    """Paired (parameters, series) draws from the joint model."""
+    """Paired (parameters, series) draws from the joint model; ``prior`` owns
+    the parameters' regression axes (all log when it is None)."""
 
     params: np.ndarray          # (n, p)
     series: np.ndarray          # (n, T) integer counts
     param_names: tuple
     seed: int = 0
+    prior: PriorSpec | None = None
 
     def __post_init__(self):
         self.params = np.asarray(self.params, dtype=float)
@@ -92,6 +94,9 @@ class SimBatch:
             raise DataError("params and series row counts differ")
         if np.any(self.series < 0):
             raise DataError("count series must be nonnegative")
+        if self.prior is None:
+            self.prior = PriorSpec([ParamPrior(name, "lognormal", 0.0, 1.0)
+                                    for name in self.param_names])
 
     @property
     def n(self):
@@ -111,15 +116,15 @@ class SimBatch:
                    comments="", fmt="%.17g")
 
     @classmethod
-    def load_csv(cls, path, param_names=None):
+    def load_csv(cls, path, param_names=None, prior=None):
         with open(path) as fh:
             header = fh.readline().strip().split(",")
         p = sum(1 for name in header if name.startswith("rho_"))
         rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-        names = tuple(param_names) if param_names else tuple(header[:p])
+        names = param_names or (prior.names if prior else header[:p])
         return cls(params=rows[:, :p],
                    series=np.rint(rows[:, p:]).astype(np.int64),
-                   param_names=names)
+                   param_names=tuple(names), prior=prior)
 
 
 def generate_training(model: SimModel, n_total, split=0.8, seed=0,
@@ -151,8 +156,10 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
                             "attempts")
     n_train = int(round(split * n_total))
     names = tuple(model.prior.names)
-    train_b = SimBatch(params[:n_train], series[:n_train], names, seed=seed)
-    test_b = SimBatch(params[n_train:], series[n_train:], names, seed=seed)
+    train_b = SimBatch(params[:n_train], series[:n_train], names, seed=seed,
+                       prior=model.prior)
+    test_b = SimBatch(params[n_train:], series[n_train:], names, seed=seed,
+                      prior=model.prior)
     return train_b, test_b
 
 
@@ -185,18 +192,20 @@ class LfiFitConfig:
 
 def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
             seed=0, return_bundle=False):
-    """Marginal-posterior regressor for one parameter (log scale).
+    """Marginal-posterior regressor for one parameter, on its prior's axis.
 
-    The regression response is log(rho_j); features are the raw series.
-    Returns the :class:`~copreg.predict.PredictiveModel`, or the full
-    serializable fit when ``return_bundle`` is set.
+    The response is rho_j on that axis, which the bundle manifest records
+    as ``axis``; features are the raw series.  Returns the
+    :class:`~copreg.predict.PredictiveModel`, or the full serializable fit
+    when ``return_bundle`` is set.
     """
     from ..pipeline import fit_copula_regression
 
     if train_batch.n == 0:
         raise DataError("empty training batch")
     cfg = config or LfiFitConfig()
-    response = np.log(train_batch.params[:, param_index])
+    prior = train_batch.prior.params[param_index]
+    response = prior.to_axis(train_batch.params[:, param_index])
     net = build_cnn(train_batch.series_length,
                     kernel_sizes=cfg.kernel_sizes,
                     filter_counts=cfg.filter_counts,
@@ -207,7 +216,7 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
         train_cfg=cfg.train_config(seed),
         burnin=cfg.burnin, draws=cfg.draws, thin=cfg.thin, seed=seed,
         rescale_features=False)
-    fit.meta["param"] = train_batch.param_names[param_index]
+    fit.meta.update(param=prior.name, axis=prior.axis)
     return fit if return_bundle else fit.predictive
 
 
@@ -221,14 +230,14 @@ def fit_all_parameters(train_batch: SimBatch, config: LfiFitConfig = None,
 def eval_simulation(models, test_batch: SimBatch, level=0.95):
     """Per-parameter point-estimation error and credible-interval coverage.
 
-    MSE is over posterior-mean estimates of log(rho_j); coverage counts test
-    truths inside the central ``level`` predictive interval, checked through
-    the predictive CDF (exact for strictly increasing CDFs).
+    MSE is over posterior means of rho_j on its prior's axis; coverage
+    counts test truths inside the central ``level`` predictive interval,
+    checked through the predictive CDF (exact for strictly increasing CDFs).
     """
     alpha = 0.5 * (1.0 - level)
     out = {}
     for j, pm in enumerate(models):
-        truth = np.log(test_batch.params[:, j])
+        truth = test_batch.prior.params[j].to_axis(test_batch.params[:, j])
         series = test_batch.series.astype(float)
         est = predictive_expectation(pm, series)
         sq_err = (est - truth) ** 2
@@ -243,15 +252,15 @@ def eval_simulation(models, test_batch: SimBatch, level=0.95):
 
 
 def marginal_calibration_distance(pm: PredictiveModel, test_batch: SimBatch,
-                                  reference_log_sample, grid_size=512):
+                                  reference_sample, grid_size=512):
     """Sup distance between the test-averaged posterior CDF and the prior CDF.
 
-    The reference is an independent prior sample on the log scale (robust to
-    integer-valued parameters, where no closed-form density applies).
+    The reference is an independent prior sample on the parameter's axis
+    (robust to integer parameters, where no closed-form density applies).
     """
     grid = margin_grid(pm.margin, num=grid_size)
     avg_cdf = average_predictive_cdf(pm, test_batch.series.astype(float),
                                      grid)
-    ref = np.sort(np.asarray(reference_log_sample, dtype=float))
+    ref = np.sort(np.asarray(reference_sample, dtype=float))
     ref_cdf = np.searchsorted(ref, grid, side="right") / ref.size
     return float(np.max(np.abs(avg_cdf - ref_cdf)))

@@ -40,15 +40,26 @@ class ParamPrior:
         if self.sigma <= 0:
             raise ConfigError("prior sigma must be positive")
 
+    @property
+    def axis(self):
+        """The Gaussian axis: ``"log"`` (lognormal) or ``"logit"``."""
+        return "log" if self.dist == "lognormal" else "logit"
+
+    def to_axis(self, x):
+        """Parameter values (an array) on the Gaussian axis."""
+        return np.log(x) if self.axis == "log" else np.log(x / (1.0 - x))
+
+    def from_axis(self, t):
+        """Inverse of :meth:`to_axis` (exp or expit), without rounding."""
+        return np.exp(t) if self.axis == "log" else 1.0 / (1.0 + np.exp(-t))
+
+    def rounded(self, x):
+        """``x`` rounded to the nearest integer >= 1 if ``integer``."""
+        return np.maximum(np.rint(x), 1.0) if self.integer else x
+
     def sample(self, rng, size=None):
-        draw = rng.normal(self.mu, self.sigma, size=size)
-        if self.dist == "lognormal":
-            x = np.exp(draw)
-        else:
-            x = 1.0 / (1.0 + np.exp(-draw))
-        if self.integer:
-            x = np.maximum(np.rint(x), 1.0)
-        return x
+        return self.rounded(self.from_axis(rng.normal(self.mu, self.sigma,
+                                                      size=size)))
 
     def to_dict(self):
         return {"name": self.name, "dist": self.dist, "mu": self.mu,
@@ -71,10 +82,6 @@ class PriorSpec:
 
     def sample_matrix(self, rng, n):
         return np.column_stack([p.sample(rng, size=n) for p in self.params])
-
-    def sample_log_matrix(self, rng, n):
-        """Log-parameter draws; the regression response scale."""
-        return np.log(self.sample_matrix(rng, n))
 
     def save(self, path):
         with open(path, "w") as fh:

@@ -43,7 +43,7 @@ class PredictiveModel:
     beta_mean: np.ndarray
     theta_draws: list
     _var_matrix: np.ndarray | None = field(default=None, repr=False)
-    _curve: TransformCurve | None = field(default=None, repr=False)
+    _kernel: PredictiveKernel | None = field(default=None, repr=False)
 
     @classmethod
     def from_draws(cls, margin, network, draws: PosteriorDraws):
@@ -62,11 +62,18 @@ class PredictiveModel:
                 [st.prior_variance_diag(self.q) for st in self.theta_draws])
         return self._var_matrix
 
-    def transform_curve(self):
-        """Cached margin quantile curve for bulk transform lookups."""
-        if self._curve is None:
-            self._curve = TransformCurve(self.margin)
-        return self._curve
+    def expectation_kernel(self):
+        """Cached kernel on a grid of step h / 32 over the union of the
+        windows [x_i - 10 h, x_i + 10 h], where the margin CDF rises."""
+        if self._kernel is None:
+            x, h = self.margin.sample, self.margin.bandwidth
+            step = h / 32.0
+            grid = np.concatenate([
+                seg[0] - 10.0 * h
+                + step * np.arange((seg[-1] - seg[0] + 20.0 * h) // step + 1)
+                for seg in np.split(x, np.flatnonzero(np.diff(x) > 20.0 * h) + 1)])
+            self._kernel = PredictiveKernel(self.margin, grid)
+        return self._kernel
 
     def location_scale(self, x0):
         """(f_hat, s_hat) for one feature vector or a batch of them."""
@@ -90,9 +97,15 @@ def predict_density(pm: PredictiveModel, x0, y_grid) -> np.ndarray:
     return np.exp(PredictiveKernel(pm.margin, y_grid).logpdf(f_hat, s_hat))
 
 
+def predict_logpdf_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
+    """Log density of each observation under its own predictive law (paired rows)."""
+    f_hat, s_hat = pm.location_scale(np.atleast_2d(x_rows))
+    return PredictiveKernel(pm.margin, y_values).logpdf(f_hat, s_hat)
+
+
 def predict_density_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
     """Density of each observation under its own predictive law (paired rows)."""
-    return predict_density(pm, np.atleast_2d(x_rows), y_values)
+    return np.exp(predict_logpdf_at(pm, x_rows, y_values))
 
 
 def predict_cdf(pm: PredictiveModel, x0, y):
@@ -126,7 +139,7 @@ def sample_predictive(pm: PredictiveModel, x0, size, rng) -> np.ndarray:
     """Transform sampling z0 ~ N(s f, s^2), y0 = F^{-1}(Phi(z0)), on the curve."""
     f_hat, s_hat = pm.location_scale(x0)
     z0 = s_hat * f_hat + s_hat * rng.standard_normal(size)
-    return pm.transform_curve().lookup(z0)
+    return TransformCurve(pm.margin).lookup(z0)
 
 
 def default_grid(pm: PredictiveModel, x0, num=GRID_SIZE, tail=GRID_TAIL):
@@ -184,16 +197,12 @@ def export_density_csv(pm: PredictiveModel, x_rows, out_dir, prefix="pred",
     return paths
 
 
-# -- fast expectations for batches -------------------------------------------------
+# -- expectations and sampling ------------------------------------------------------
 
 
 class TransformCurve:
-    """Margin quantile curve y(z) = F^{-1}(Phi(z)) tabulated on a z grid.
-
-    Built once per margin, it turns predictive expectations into Gauss-
-    Hermite sums with interpolated lookups, which is what batch scoring over
-    thousands of feature rows needs.
-    """
+    """Margin quantile curve y(z) = F^{-1}(Phi(z)) tabulated on a z grid; it
+    turns normal draws into response draws in :func:`sample_predictive`."""
 
     def __init__(self, margin: MarginModel, z_span=6.5, num=4097):
         self.z_grid = np.linspace(-z_span, z_span, num)
@@ -204,19 +213,20 @@ class TransformCurve:
         return np.interp(z, self.z_grid, self.y_grid)
 
 
-def predictive_expectation(pm: PredictiveModel, x_rows, func=None, nodes=64,
-                           curve: TransformCurve | None = None):
-    """E[g(Y0) | x0] for each feature row by Gauss-Hermite quadrature.
-
-    ``func`` defaults to the identity (posterior-mean point estimates);
-    ``curve`` defaults to the model's cached transform curve.
-    """
-    if curve is None:
-        curve = pm.transform_curve()
-    t, w = np.polynomial.hermite_e.hermegauss(nodes)
-    w = w / np.sqrt(2.0 * np.pi)
+def predictive_expectation(pm: PredictiveModel, x_rows, func=None):
+    """E[g(Y0) | x0] for each feature row: sum_k g(ybar_k) dG_k, with G the
+    predictive CDF on :meth:`PredictiveModel.expectation_kernel`'s grid, cell
+    masses at cell midpoints and the mass beyond either end at that end node.
+    ``func`` (elementwise) defaults to the identity: posterior means."""
+    kernel = pm.expectation_kernel()
+    y = kernel.y
+    nodes = np.concatenate([y[:1], 0.5 * (y[1:] + y[:-1]), y[-1:]])
+    values = nodes if func is None else func(nodes)
     f_all, s_all = pm.location_scale(np.atleast_2d(x_rows))
-    z_nodes = s_all[:, None] * f_all[:, None] + s_all[:, None] * t[None, :]
-    y_nodes = curve.lookup(z_nodes)
-    vals = y_nodes if func is None else func(y_nodes)
-    return vals @ w
+    out = np.empty(f_all.size)
+    block = max(1, ROW_CHUNK * GRID_SIZE // y.size)
+    for start in range(0, f_all.size, block):
+        rows = slice(start, start + block)
+        cdf = kernel.cdf(f_all[rows, None], s_all[rows, None])
+        out[rows] = np.diff(cdf, axis=1, prepend=0.0, append=1.0) @ values
+    return out

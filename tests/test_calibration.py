@@ -105,10 +105,10 @@ def test_kfold_split_is_partition_and_deterministic():
 
 
 def test_kfold_mls_is_mean_of_fold_means():
-    # deterministic stub forecaster: density exp(-1) on even train sizes,
-    # exp(-2) otherwise, so the arithmetic is checkable by hand
+    # deterministic stub forecaster: log density -1 on even train sizes,
+    # -2 otherwise, so the arithmetic is checkable by hand
     def fit_predict(x_train, y_train):
-        val = np.exp(-1.0) if x_train.shape[0] % 2 == 0 else np.exp(-2.0)
+        val = -1.0 if x_train.shape[0] % 2 == 0 else -2.0
         return lambda x_test, y_test: np.full(y_test.size, val)
 
     x = np.zeros((40, 2))

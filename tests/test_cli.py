@@ -156,6 +156,72 @@ def test_voles_report_has_nine_rows(tmp_path):
     assert len(report["parameters"]) == 9
 
 
+def test_lfi_score_runs_on_voles_with_estimates_in_prior_support(tmp_path):
+    # At these sizes and seed the season amplitude, regressed on the log
+    # axis, had a posterior-mean estimate of 1, outside [0, 1), and
+    # lfi-score exited 4; on its prior's logit axis the estimate stays inside.
+    from copreg.lfi.priors import PriorSpec
+
+    prior_file = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "copreg", "data",
+        "voles_prior.json")
+    cfg = write_config(tmp_path / "voles.json", {
+        "simulator": "voles", "prior_file": prior_file, "n_total": 16,
+        "split": 0.75, "series_length": 32, "score_reps": 20,
+        "data_dir": str(tmp_path / "data"), "fit_dir": str(tmp_path / "fit"),
+        "lfi_fit": {"kernel_sizes": [9, 3], "filter_counts": [16, 4],
+                    "dense_width": 50, "epochs": 20, "batch_size": 64,
+                    "patience": 20, "variant": "ridge", "burnin": 30,
+                    "draws": 30},
+    })
+    for task, out in (("lfi-simulate", "data"), ("lfi-fit", "fit"),
+                      ("lfi-score", "score")):
+        assert main([task, "--config", cfg, "--out", str(tmp_path / out),
+                     "--seed", "84"]) == 0, task
+    report = json.loads((tmp_path / "score" / "lfi_report.json").read_text())
+    estimate = report["composite"]["point_estimate"]
+    for value, param in zip(estimate, PriorSpec.load(prior_file).params):
+        manifest = json.loads(
+            (tmp_path / "fit" / f"param_{param.name}" / "manifest.json")
+            .read_text())
+        assert manifest["axis"] == param.axis
+        assert value > 0.0, param.name
+        if param.dist == "logitnormal":
+            assert value < 1.0, param.name
+        if param.integer:
+            assert value == round(value) and value >= 1.0, param.name
+
+
+def test_kfold_score_stays_finite_for_a_response_beyond_the_training_range(
+        tmp_path):
+    # The held-out response 30 units past the largest training response has
+    # a predictive density that underflows to 0, but a log density of a few
+    # thousand below zero, which is the honest score.
+    rng = np.random.default_rng(12)
+    n = 60
+    x = rng.uniform(-1.0, 1.0, size=(n, 3))
+    y = np.exp(rng.normal(0.0, 0.5, size=n))
+    y[7] = np.delete(y, 7).max() + 30.0
+    data = tmp_path / "outlier.csv"
+    np.savetxt(data, np.column_stack([x, y]), delimiter=",",
+               header="x1,x2,x3,response", comments="", fmt="%.17g")
+    fit_cfg = write_config(tmp_path / "fit.json",
+                           {"dataset": str(data), **FAST_FIT})
+    assert main(["fit", "--config", fit_cfg, "--out",
+                 str(tmp_path / "bundle"), "--seed", "4"]) == 0
+    cal_cfg = write_config(tmp_path / "cal.json",
+                           {"bundle": str(tmp_path / "bundle"),
+                            "dataset": str(data), "folds": 3})
+    assert main(["calibrate", "--config", cal_cfg, "--out",
+                 str(tmp_path / "cal"), "--seed", "4"]) == 0
+    scores = json.loads((tmp_path / "cal" / "scores.json").read_text())
+    assert len(scores["fold_scores"]) == 3
+    assert np.all(np.isfinite(scores["fold_scores"]))
+    assert np.isfinite(scores["mls_kfold"])
+    assert np.isfinite(scores["mls_kfold_se"])
+    assert min(scores["fold_scores"]) < -100.0  # the outlier's fold
+
+
 def test_exit_codes(tmp_path, dataset_csv):
     # missing config file
     assert main(["fit", "--config", str(tmp_path / "none.json"),

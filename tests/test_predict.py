@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 from scipy.stats import kstest
 
 from copreg.copula import ShrinkageState
@@ -10,7 +11,6 @@ from copreg.margin import fit_kde
 from copreg.nnet import Dense, Network
 from copreg.predict import (
     PredictiveModel,
-    TransformCurve,
     average_predictive_density,
     default_grid,
     export_density_csv,
@@ -200,10 +200,44 @@ def test_predictive_expectation_matches_grid_integral(gamma_margin):
     rng = np.random.default_rng(60)
     pm = make_random_pm(rng, gamma_margin)
     xs = rng.normal(size=(4, 3))
-    curve = TransformCurve(gamma_margin)
-    fast = predictive_expectation(pm, xs, curve=curve)
+    fast = predictive_expectation(pm, xs)
     for i in range(4):
         grid = default_grid(pm, xs[i], num=2048, tail=1e-6)
         dens = predict_density(pm, xs[i], grid)
         direct = np.trapezoid(grid * dens, grid) / np.trapezoid(dens, grid)
         assert fast[i] == pytest.approx(direct, rel=5e-3)
+
+
+def fine_mean(pm, x0):
+    """Posterior mean by trapezoid quadrature of predict_density, on a grid of
+    step h / 64 over the margin plus the images of 4001 pseudo-responses
+    spanning +-12 predictive sd, so a law narrower than a kernel resolves."""
+    margin, h = pm.margin, pm.margin.bandwidth
+    f_hat, s_hat = pm.location_scale(x0)
+    lo, hi = margin.sample[0] - 12.0 * h, margin.sample[-1] + 12.0 * h
+    z = s_hat * f_hat + s_hat * np.linspace(-12.0, 12.0, 4001)
+    nodes = np.union1d(np.linspace(lo, hi, int(64.0 * (hi - lo) / h) + 1),
+                       margin.quantile(np.clip(ndtr(z), 1e-12, 1.0 - 1e-12)))
+    dens = predict_density(pm, x0, nodes)
+    return np.trapezoid(nodes * dens, nodes) / np.trapezoid(dens, nodes)
+
+
+def test_predictive_expectation_on_staircase_margin_matches_quadrature():
+    # Log integer data: the margin is a staircase of kernels far narrower
+    # than the steps between them, and at s = 0.007 the predictive law is
+    # narrower than one kernel.
+    rng = np.random.default_rng(61)
+    counts = np.maximum(np.rint(np.exp(rng.normal(np.log(12.0), 0.25, 18))),
+                        1.0)
+    margin = fit_kde(np.log(counts))
+    x0 = np.ones(1)
+    for s in (0.007, 0.03, 0.2, 0.72):
+        for z_mean in (-1.5, 0.3, 1.2):
+            # one basis function equal to 1: f = beta and s = 1/sqrt(1 + tau2)
+            pm = PredictiveModel(
+                margin=margin, network=IdentityBasis(),
+                beta_mean=np.array([z_mean / s]),
+                theta_draws=[ShrinkageState("ridge", tau2=s ** -2 - 1.0)])
+            assert pm.location_scale(x0)[1] == pytest.approx(s, rel=1e-12)
+            fast = predictive_expectation(pm, x0[None, :])[0]
+            assert abs(fast - fine_mean(pm, x0)) < 1e-6, (s, z_mean)

@@ -1,5 +1,7 @@
-"""Property tests of the predictive kernel and the margin, over random models."""
+"""Property tests of the predictive kernel, the margin, recalibration and
+bundles, over random models."""
 
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -7,13 +9,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
+from copreg.calibration import recalibrate_isotonic
 from copreg.copula import ShrinkageState
+from copreg.lfi import LfiFitConfig, SimBatch, default_voles_prior, lfi_fit
 from copreg.margin import (
     BANDWIDTH_GRID_SIZE,
     MarginModel,
     PredictiveKernel,
     fit_kde,
 )
+from copreg.pipeline import CopulaRegression
 from copreg.predict import (
     PredictiveModel,
     average_predictive_cdf,
@@ -23,6 +28,7 @@ from copreg.predict import (
     predict_cdf_at,
     predict_density,
     predict_density_at,
+    predictive_expectation,
 )
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -239,3 +245,63 @@ def test_margin_at_paper_scale_fits_in_memory():
         tracemalloc.stop()
     assert np.all(np.isfinite(logpdf))
     assert peak < 64 * 2**20
+
+
+# -- isotonic recalibration and bundles -------------------------------------------
+
+
+def pava(y):
+    """Pool-adjacent-violators oracle: the nondecreasing least-squares fit."""
+    blocks = []
+    for value in y:
+        blocks.append([float(value), 1])
+        while len(blocks) > 1 and blocks[-2][0] > blocks[-1][0]:
+            (a, na), (b, nb) = blocks[-2:]
+            blocks[-2:] = [[(a * na + b * nb) / (na + nb), na + nb]]
+    return np.repeat([b[0] for b in blocks], [b[1] for b in blocks])
+
+
+@settings(max_examples=100)
+@given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=120),
+       st.integers(1, 6))
+def test_isotonic_map_is_monotone_with_pinned_endpoints(values, digits):
+    u = np.round(values, digits)  # coarse rounding makes ties
+    cal = recalibrate_isotonic(u)
+    np.testing.assert_array_equal(pava(cal.knots_y), cal.knots_y)
+    p = np.linspace(0.0, 1.0, 257)
+    out = cal(p)
+    assert out[0] == 0.0 and out[-1] == 1.0
+    assert np.all(np.diff(out) >= 0.0)
+    assert np.all((out >= 0.0) & (out <= 1.0))
+
+
+TINY_LFI = LfiFitConfig(kernel_sizes=(5, 3), filter_counts=(3, 2),
+                        dense_width=6, epochs=2, batch_size=32,
+                        variant="ridge", burnin=10, draws=10)
+
+
+@settings(max_examples=5)
+@given(SEEDS)
+def test_lfi_bundle_round_trip_keeps_axis_and_predictions(seed):
+    rng = np.random.default_rng(seed)
+    prior = default_voles_prior()
+    params = prior.sample_matrix(rng, 40)
+    series = rng.poisson(20.0 * params[:, [1]] + 5.0, size=(40, 16))
+    batch = SimBatch(params, series, tuple(prior.names), prior=prior)
+    j = int(rng.integers(prior.dim))
+    fit = lfi_fit(batch, j, config=TINY_LFI, seed=seed % 1000,
+                  return_bundle=True)
+    with tempfile.TemporaryDirectory() as out:
+        fit.save(out)
+        back = CopulaRegression.load(out)
+    assert back.meta["axis"] == prior.params[j].axis
+    assert {key: back.meta[key] for key in fit.meta} == fit.meta
+    pm, pm_back = fit.predictive, back.predictive
+    x = series[:6].astype(float)
+    grid = margin_grid(pm.margin, num=64)
+    np.testing.assert_array_equal(predict_density(pm_back, x[0], grid),
+                                  predict_density(pm, x[0], grid))
+    np.testing.assert_array_equal(predict_cdf(pm_back, x[0], grid),
+                                  predict_cdf(pm, x[0], grid))
+    np.testing.assert_array_equal(predictive_expectation(pm_back, x),
+                                  predictive_expectation(pm, x))
