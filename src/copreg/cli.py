@@ -28,7 +28,7 @@ from .calibration import (
     log_score,
     probability_calibration,
 )
-from .copula import VARIANTS
+from .copula import VARIANTS, check_sampler_sizes
 from .errors import (
     ConfigError,
     DataError,
@@ -137,7 +137,7 @@ def _options(factory, opts, key):
     """``factory(**opts)``, with unknown or invalid options a ConfigError."""
     try:
         return factory(**opts)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid {key!r} options: {exc}") from None
 
 
@@ -174,8 +174,10 @@ def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
     if variant not in VARIANTS:
         raise ValueError(f"unknown shrinkage variant {variant!r}; "
                          f"expected one of {VARIANTS}")
-    return {"variant": variant, "burnin": int(burnin), "draws": int(draws),
+    opts = {"variant": variant, "burnin": int(burnin), "draws": int(draws),
             "thin": int(thin)}
+    check_sampler_sizes(opts["burnin"], opts["draws"], opts["thin"])
+    return opts
 
 
 def _tabular_options(cfg, seed):

@@ -184,14 +184,19 @@ def _inv_gamma(rng, shape, scale, size=None):
     return scale / rng.gamma(shape, size=size)
 
 
-def sample_beta(z, basis, state: ShrinkageState, rng) -> np.ndarray:
-    """Exact draw from beta | z, theta: precision B^T B + P, mean Q^{-1}B^T S^{-1}z."""
+def sample_beta(z, basis, state: ShrinkageState, rng, gram=None,
+                t=None) -> np.ndarray:
+    """Exact draw from beta | z, theta: precision B^T B + P, mean Q^{-1}B^T S^{-1}z.
+
+    A sampler sweeping over one basis passes its constants in: ``gram`` is
+    B^T B and ``t`` is (B o B) P^{-1}, which gives s = (1 + t)^(-1/2).
+    """
     z = np.asarray(z, dtype=float)
     basis = np.asarray(basis, dtype=float)
     q = basis.shape[1]
     v = state.prior_variance_diag(q)
-    s = scaling_rows(basis, state)
-    prec = basis.T @ basis
+    s = scaling_rows(basis, state) if t is None else 1.0 / np.sqrt(1.0 + t)
+    prec = basis.T @ basis if gram is None else gram.copy()
     prec[np.diag_indices(q)] += 1.0 / v
     rhs = basis.T @ (z / s)
     try:
@@ -291,13 +296,29 @@ def _scale_loglik(z, mean_vals, t_vals):
                         + 0.5 * np.log(u)))
 
 
-def _sample_theta_corrected(beta, state, rng, z, basis_sq, mean_vals):
+class _SweepConstants:
+    """What a Gibbs sweep needs of a fixed basis B and pseudo-responses z."""
+
+    def __init__(self, z, basis):
+        self.basis_sq = basis * basis
+        # row j is column j of B o B, contiguous for the per-coordinate update
+        self.basis_sq_t = np.ascontiguousarray(self.basis_sq.T)
+        self.gram = basis.T @ basis
+        # the -z^2 u / 2 term of _scale_loglik moves by -half_z2_cols[j] * d
+        # when column j's prior variance moves by d
+        self.half_z2_cols = 0.5 * ((z * z) @ self.basis_sq)
+        self.row_norms = self.basis_sq.sum(axis=1)
+
+
+def _sample_theta_corrected(beta, state, rng, z, mean_vals, t_vals, consts):
     """Theta update targeting the exact conditional theta | beta, z.
 
     horseshoe: per-coordinate independence Metropolis-Hastings on lambda_j^2
     with the conjugate inverse-gamma proposal (prior and proposal terms
     cancel, leaving the likelihood ratio); the nu, tau^2, xi conditionals do
-    not touch the likelihood and stay exact Gibbs.  ridge: slice sampling of
+    not touch the likelihood and stay exact Gibbs.  The log-likelihood ratio
+    of :func:`_scale_loglik` is taken from running sums over u = 1 + t, with
+    ``t_vals`` = (B o B) lambda^2 on entry.  ridge: slice sampling of
     log tau^2 under prior-conditional + likelihood.  Returns
     ``(state, mh_acceptance)``.
     """
@@ -305,27 +326,35 @@ def _sample_theta_corrected(beta, state, rng, z, basis_sq, mean_vals):
     q = beta.size
     if state.variant == "horseshoe":
         lam2 = state.lam * state.lam
-        nu = state.nu
-        t_vals = basis_sq @ lam2
-        cur_ll = _scale_loglik(z, mean_vals, t_vals)
-        accepted = 0
         log_u = np.log(rng.random(q))
-        for j in range(q):
-            prop = _inv_gamma(rng, 1.0, 1.0 / nu[j] + 0.5 * beta[j] * beta[j])
-            t_star = t_vals + basis_sq[:, j] * (prop - lam2[j])
-            new_ll = _scale_loglik(z, mean_vals, t_star)
-            if log_u[j] < new_ll - cur_ll:
-                lam2[j] = prop
-                t_vals = t_star
-                cur_ll = new_ll
+        props = _inv_gamma(rng, 1.0, 1.0 / state.nu + 0.5 * beta * beta,
+                           size=q)
+        steps = props - lam2
+        zm = z * mean_vals
+        u = 1.0 + t_vals
+        cross = float(zm.dot(np.sqrt(u)))
+        log_sum = float(np.log(u).sum())
+        u_new, work = np.empty_like(u), np.empty_like(u)
+        accepted = 0
+        for j, (log_uj, d, c) in enumerate(zip(
+                log_u.tolist(), steps.tolist(),
+                consts.half_z2_cols.tolist())):
+            np.multiply(consts.basis_sq_t[j], d, out=u_new)
+            u_new += u
+            cross_new = float(zm.dot(np.sqrt(u_new, out=work)))
+            log_sum_new = float(np.log(u_new, out=work).sum())
+            if log_uj < (-c * d + (cross_new - cross)
+                         + 0.5 * (log_sum_new - log_sum)):
+                lam2[j] = props[j]
+                u, u_new = u_new, u
+                cross, log_sum = cross_new, log_sum_new
                 accepted += 1
         return _horseshoe_globals(lam2, state, rng), accepted / q
-    row_norms = basis_sq.sum(axis=1)
     half_bnorm_sq = 0.5 * float(beta @ beta)
 
     def log_target(x):
         return (_ridge_log_target(x, q, half_bnorm_sq)
-                + _scale_loglik(z, mean_vals, np.exp(x) * row_norms))
+                + _scale_loglik(z, mean_vals, np.exp(x) * consts.row_norms))
 
     x1 = _slice_sample(log_target, np.log(state.tau2), rng)
     return ShrinkageState("ridge", tau2=float(np.exp(x1))), 1.0
@@ -403,20 +432,32 @@ def _ess(chain):
     return n / (1.0 + 2.0 * acc)
 
 
+def check_sampler_sizes(burnin, draws, thin):
+    """Raise :class:`DomainError` unless draws >= 1, thin >= 1, burnin >= 0."""
+    if draws < 1 or thin < 1 or burnin < 0:
+        raise DomainError(
+            f"sampler sizes need draws >= 1, thin >= 1 and burnin >= 0; "
+            f"got draws={draws}, thin={thin}, burnin={burnin}")
+
+
 def run_mcmc_pseudo(z, basis, variant, burnin=1000, draws=1000, rng=None,
                     thin=1) -> PosteriorDraws:
-    """Gibbs over (beta, theta) given pseudo-responses; see :func:`run_mcmc`."""
+    """Gibbs over (beta, theta) given pseudo-responses; see :func:`run_mcmc`.
+
+    One sweep is one :func:`sample_beta` call and one theta update; B^T B
+    and the other basis constants are computed once per run.
+    """
     if rng is None:
         raise DomainError("run_mcmc requires an explicit rng for reproducibility")
+    check_sampler_sizes(burnin, draws, thin)
     z = np.asarray(z, dtype=float)
     basis = np.asarray(basis, dtype=float)
     n, q = basis.shape
     if z.size != n:
         raise ShapeError("pseudo-responses must match basis rows")
     state = ShrinkageState.initial(variant, q)
-    ridge_init = basis.T @ basis + np.eye(q)
-    beta = np.linalg.solve(ridge_init, basis.T @ z)
-    basis_sq = basis * basis
+    consts = _SweepConstants(z, basis)
+    beta = np.linalg.solve(consts.gram + np.eye(q), basis.T @ z)
 
     kept_beta = np.empty((draws, q))
     kept_theta = []
@@ -424,9 +465,10 @@ def run_mcmc_pseudo(z, basis, variant, burnin=1000, draws=1000, rng=None,
     j = 0
     acc_sum = 0.0
     for it in range(total):
-        beta = sample_beta(z, basis, state, rng)
-        state, acc = _sample_theta_corrected(beta, state, rng, z, basis_sq,
-                                             basis @ beta)
+        t_vals = consts.basis_sq @ state.prior_variance_diag(q)
+        beta = sample_beta(z, basis, state, rng, gram=consts.gram, t=t_vals)
+        state, acc = _sample_theta_corrected(beta, state, rng, z, basis @ beta,
+                                             t_vals, consts)
         acc_sum += acc
         if it >= burnin and (it - burnin) % thin == 0:
             kept_beta[j] = beta

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-from ..copula import VARIANTS
+from ..copula import VARIANTS, check_sampler_sizes
 from ..errors import ConfigError, DataError, SimulationDivergedError
 
 from ..nnet import TrainConfig, build_cnn
@@ -184,6 +184,9 @@ class LfiFitConfig:
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown shrinkage variant {self.variant!r}; "
                              f"expected one of {VARIANTS}")
+        self.burnin, self.draws, self.thin = (int(self.burnin),
+                                              int(self.draws), int(self.thin))
+        check_sampler_sizes(self.burnin, self.draws, self.thin)
 
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,

@@ -455,6 +455,17 @@ class PredictiveKernel:
         self.z = _pseudo(margin, cdf)
         self._log_ratio = logpdf - _log_phi(self.z)
 
+    @classmethod
+    def cdf_only(cls, margin: MarginModel, y):
+        """A kernel for :meth:`cdf` alone, without :meth:`logpdf`: its margin
+        pass skips the log density (an exp and a log per window term)."""
+        kernel = cls.__new__(cls)
+        kernel.margin = margin
+        kernel.y = np.asarray(y, dtype=float)
+        kernel.z = _pseudo(margin, margin._evaluate(kernel.y, logpdf=False)[0])
+        kernel._log_ratio = None
+        return kernel
+
     def residual(self, f, s):
         return (self.z - s * f) / s
 

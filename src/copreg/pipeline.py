@@ -17,7 +17,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from . import __version__
-from .copula import PosteriorDraws, run_mcmc_pseudo
+from .copula import PosteriorDraws, check_sampler_sizes, run_mcmc_pseudo
 from .errors import DataError
 from .margin import MarginModel, fit_kde, to_pseudo
 from .nnet import Network, TrainConfig, build_ffn, train
@@ -147,6 +147,7 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
     convolutional network for series features (set ``rescale_features``
     False there, series inputs stay raw).
     """
+    check_sampler_sizes(burnin, draws, thin)  # before any training
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != y.size:

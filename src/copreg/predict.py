@@ -44,6 +44,7 @@ class PredictiveModel:
     theta_draws: list
     _var_matrix: np.ndarray | None = field(default=None, repr=False)
     _kernel: PredictiveKernel | None = field(default=None, repr=False)
+    _curve: TransformCurve | None = field(default=None, repr=False)
 
     @classmethod
     def from_draws(cls, margin, network, draws: PosteriorDraws):
@@ -74,6 +75,12 @@ class PredictiveModel:
                 for seg in np.split(x, np.flatnonzero(np.diff(x) > 20.0 * h) + 1)])
             self._kernel = PredictiveKernel(self.margin, grid)
         return self._kernel
+
+    def transform_curve(self):
+        """Cached :class:`TransformCurve` of the margin, for sampling."""
+        if self._curve is None:
+            self._curve = TransformCurve(self.margin)
+        return self._curve
 
     def location_scale(self, x0):
         """(f_hat, s_hat) for one feature vector or a batch of them."""
@@ -111,7 +118,7 @@ def predict_density_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
 def predict_cdf(pm: PredictiveModel, x0, y):
     """Predictive distribution function Phi((z(y) - s f) / s)."""
     f_hat, s_hat = pm.location_scale(x0)
-    return PredictiveKernel(pm.margin, y).cdf(f_hat, s_hat)
+    return PredictiveKernel.cdf_only(pm.margin, y).cdf(f_hat, s_hat)
 
 
 def predict_cdf_at(pm: PredictiveModel, x_rows, y_values) -> np.ndarray:
@@ -139,7 +146,7 @@ def sample_predictive(pm: PredictiveModel, x0, size, rng) -> np.ndarray:
     """Transform sampling z0 ~ N(s f, s^2), y0 = F^{-1}(Phi(z0)), on the curve."""
     f_hat, s_hat = pm.location_scale(x0)
     z0 = s_hat * f_hat + s_hat * rng.standard_normal(size)
-    return TransformCurve(pm.margin).lookup(z0)
+    return pm.transform_curve().lookup(z0)
 
 
 def default_grid(pm: PredictiveModel, x0, num=GRID_SIZE, tail=GRID_TAIL):
@@ -152,9 +159,8 @@ def margin_grid(margin: MarginModel, num=GRID_SIZE, tail=GRID_TAIL):
     return np.linspace(*margin.quantile([tail, 1.0 - tail]), num)
 
 
-def _row_mean(pm, x_rows, y_grid, law):
-    """Mean over feature rows of ``law(kernel, f, s)`` on a shared grid."""
-    kernel = PredictiveKernel(pm.margin, y_grid)
+def _row_mean(pm, x_rows, kernel, law):
+    """Mean over feature rows of ``law(kernel, f, s)`` on the kernel's grid."""
     f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
     total = np.zeros_like(kernel.z)
     for start in range(0, f_all.size, ROW_CHUNK):
@@ -166,13 +172,14 @@ def _row_mean(pm, x_rows, y_grid, law):
 def average_predictive_density(pm: PredictiveModel, x_rows,
                                y_grid) -> np.ndarray:
     """Pointwise mean of the predictive densities at each feature row."""
-    return _row_mean(pm, x_rows, y_grid,
+    return _row_mean(pm, x_rows, PredictiveKernel(pm.margin, y_grid),
                      lambda kernel, f, s: np.exp(kernel.logpdf(f, s)))
 
 
 def average_predictive_cdf(pm: PredictiveModel, x_rows, y_grid) -> np.ndarray:
     """Pointwise mean of the predictive CDFs; the marginal-calibration curve."""
-    return _row_mean(pm, x_rows, y_grid, PredictiveKernel.cdf)
+    return _row_mean(pm, x_rows, PredictiveKernel.cdf_only(pm.margin, y_grid),
+                     PredictiveKernel.cdf)
 
 
 def export_density_csv(pm: PredictiveModel, x_rows, out_dir, prefix="pred",

@@ -301,6 +301,16 @@ def test_bad_training_options_exit_config(tmp_path, dataset_csv, task,
     ("fit", {"mcmc": {"variant": "lasso"}}),
     ("lfi-fit", {"lfi_fit": {"variant": "lasso"}}),
     ("lfi", {"lfi_fit": {"variant": "lasso"}}),
+    ("fit", {"mcmc": {"draws": 0}}),
+    ("fit", {"mcmc": {"draws": -3}}),
+    ("fit", {"mcmc": {"thin": 0}}),
+    ("fit", {"mcmc": {"thin": -1}}),
+    ("fit", {"mcmc": {"burnin": -5}}),
+    ("lfi-fit", {"lfi_fit": {"draws": 0}}),
+    ("lfi-fit", {"lfi_fit": {"thin": 0}}),
+    ("lfi", {"lfi_fit": {"burnin": -5}}),
+    ("lfi", {"lfi_fit": {"draws": -3}}),
+    ("lfi-fit", {"lfi_fit": {"draws": "many"}}),
 ])
 def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
                                                           options):
@@ -328,6 +338,32 @@ def test_calibrate_rejects_bad_refit_options_before_refitting(
     manifest = bundle / "manifest.json"
     doc = json.loads(manifest.read_text())
     doc["config"]["mcmc"]["variant"] = "lasso"
+    manifest.write_text(json.dumps(doc))
+
+    def no_refit(*args, **kwargs):
+        raise AssertionError("refit started")
+
+    monkeypatch.setattr(cli, "fit_copula_regression", no_refit)
+    cal_cfg = write_config(tmp_path / "cal.json",
+                           {"bundle": str(bundle), "dataset": dataset_csv,
+                            "folds": 2})
+    assert main(["calibrate", "--config", cal_cfg,
+                 "--out", str(tmp_path / "cal"), "--seed", "2"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("mcmc", [{"draws": 0}, {"thin": -1}, {"burnin": -5}])
+def test_calibrate_rejects_bad_refit_sampler_sizes_before_refitting(
+        tmp_path, dataset_csv, monkeypatch, mcmc):
+    import copreg.cli as cli
+
+    bundle = tmp_path / "bundle"
+    fit_cfg = write_config(tmp_path / "fit.json",
+                           {"dataset": dataset_csv, **FAST_FIT})
+    assert main(["fit", "--config", fit_cfg, "--out", str(bundle),
+                 "--seed", "2"]) == 0
+    manifest = bundle / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["config"]["mcmc"].update(mcmc)
     manifest.write_text(json.dumps(doc))
 
     def no_refit(*args, **kwargs):

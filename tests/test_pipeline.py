@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from copreg.calibration import probability_calibration
-from copreg.errors import DataError
+from copreg.errors import DataError, DomainError
 from copreg.nnet import TrainConfig, build_ffn
 from copreg.pipeline import (
     CopulaRegression,
@@ -112,3 +112,17 @@ def test_gaussian_baseline_density_and_cdf():
 def test_fit_rejects_mismatched_rows():
     with pytest.raises(DataError):
         fit_copula_regression(np.zeros((5, 2)), np.zeros(4))
+
+
+@pytest.mark.parametrize("sizes", [{"draws": 0}, {"thin": 0},
+                                   {"burnin": -1}])
+def test_bad_sampler_sizes_fail_before_training(monkeypatch, sizes):
+    import copreg.pipeline as pipeline
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(pipeline, "train", no_training)
+    x, y = skewed_dataset(n=40)
+    with pytest.raises(DomainError):
+        fit_copula_regression(x, y, **sizes)

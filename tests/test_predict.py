@@ -7,15 +7,18 @@ from scipy.stats import kstest
 
 from copreg.copula import ShrinkageState
 from copreg.errors import DomainError
-from copreg.margin import fit_kde
+from copreg.margin import PredictiveKernel, fit_kde
 from copreg.nnet import Dense, Network
 from copreg.predict import (
     PredictiveModel,
+    TransformCurve,
+    average_predictive_cdf,
     average_predictive_density,
     default_grid,
     export_density_csv,
     margin_grid,
     predict_cdf,
+    predict_cdf_at,
     predict_density,
     predict_quantile,
     predictive_expectation,
@@ -241,3 +244,52 @@ def test_predictive_expectation_on_staircase_margin_matches_quadrature():
             assert pm.location_scale(x0)[1] == pytest.approx(s, rel=1e-12)
             fast = predictive_expectation(pm, x0[None, :])[0]
             assert abs(fast - fine_mean(pm, x0)) < 1e-6, (s, z_mean)
+
+
+def test_cdf_only_kernel_is_bit_identical_to_full_kernel(gamma_margin):
+    rng = np.random.default_rng(62)
+    y = np.concatenate([rng.uniform(-5.0, 30.0, 300),
+                        [gamma_margin.sample[0], np.inf, -np.inf]])
+    full = PredictiveKernel(gamma_margin, y)
+    lean = PredictiveKernel.cdf_only(gamma_margin, y)
+    np.testing.assert_array_equal(lean.z, full.z)
+    paired = (rng.normal(size=y.size), rng.uniform(0.1, 1.0, y.size))
+    for f, s in ((0.3, 0.8), paired):
+        np.testing.assert_array_equal(lean.cdf(f, s), full.cdf(f, s))
+
+    pm = make_random_pm(rng, gamma_margin)
+    x = rng.normal(size=(40, 3))
+    y_obs = rng.gamma(2.0, 1.5, size=40)
+    f_all, s_all = pm.location_scale(x)
+    np.testing.assert_array_equal(
+        predict_cdf_at(pm, x, y_obs),
+        PredictiveKernel(gamma_margin, y_obs).cdf(f_all, s_all))
+    grid = margin_grid(gamma_margin, num=64)
+    full_grid = PredictiveKernel(gamma_margin, grid)
+    expect = full_grid.cdf(f_all[:, None], s_all[:, None]).sum(axis=0) / 40
+    np.testing.assert_array_equal(average_predictive_cdf(pm, x, grid), expect)
+
+
+def test_sample_predictive_builds_one_transform_curve_per_model(
+        gamma_margin, monkeypatch):
+    import copreg.predict as predict
+
+    rng = np.random.default_rng(63)
+    pm = make_random_pm(rng, gamma_margin)
+    x0 = rng.normal(size=3)
+    fresh = TransformCurve(gamma_margin)
+    builds = []
+
+    class CountingCurve(TransformCurve):
+        def __init__(self, margin):
+            builds.append(1)
+            super().__init__(margin)
+
+    monkeypatch.setattr(predict, "TransformCurve", CountingCurve)
+    for seed in range(3):
+        draws = sample_predictive(pm, x0, 10, np.random.default_rng(seed))
+        f_hat, s_hat = pm.location_scale(x0)
+        normal = np.random.default_rng(seed).standard_normal(10)
+        z0 = s_hat * f_hat + s_hat * normal
+        np.testing.assert_array_equal(draws, fresh.lookup(z0))
+    assert len(builds) == 1
