@@ -226,8 +226,12 @@ def cmd_calibrate(cfg, out_dir, seed):
     fit = CopulaRegression.load(bundle_dir)
     folds = int(cfg.get("folds", 10))
     if folds >= 2:
-        refit_options = _tabular_options(
-            fit.meta.get("config", cfg.get("refit", {})), seed)
+        if fit.meta.get("task") != "fit" or "config" not in fit.meta:
+            raise ConfigError(
+                f"{bundle_dir} was not written by 'fit', so k-fold calibrate "
+                "cannot refit its model; set 'folds' to 0 or 1 for "
+                "in-sample diagnostics")
+        refit_options = _tabular_options(fit.meta["config"], seed)
     header, table = load_table(_require(cfg, "dataset", "calibrate"))
     x, y = table[:, :-1], table[:, -1]
     pm = fit.predictive
@@ -284,11 +288,7 @@ def _sim_model(cfg):
 
 
 def _lfi_config(cfg):
-    opts = dict(cfg.get("lfi_fit", {}))
-    for key in ("kernel_sizes", "filter_counts"):
-        if key in opts:
-            opts[key] = tuple(opts[key])
-    return _options(LfiFitConfig, opts, "lfi_fit")
+    return _options(LfiFitConfig, cfg.get("lfi_fit", {}), "lfi_fit")
 
 
 def cmd_lfi_simulate(cfg, out_dir, seed):
@@ -373,7 +373,11 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
 
 def cmd_lfi(cfg, out_dir, seed):
     """Full pipeline: simulate, fit every parameter, score."""
-    _lfi_config(cfg)  # reject bad fit options before simulating
+    lfi_cfg = _lfi_config(cfg)  # reject bad fit options before simulating
+    try:
+        lfi_cfg.network(_sim_model(cfg).series_length)
+    except ShapeError as exc:
+        raise ConfigError(f"invalid 'lfi_fit' options: {exc}") from None
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
     return cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir,

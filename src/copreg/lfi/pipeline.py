@@ -9,7 +9,7 @@ predictive density at a series is its approximate marginal posterior.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,6 @@ class SimModel:
     name: str
     prior: PriorSpec
     series_length: int
-    sim_options: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.name not in SIM_NAMES:
@@ -57,23 +56,19 @@ class SimModel:
         if self.name == "blowfly":
             params = BlowflyParams.from_array(rho_row)
             if reps is None:
-                return simulate_blowfly(params, self.series_length, rng,
-                                        **self.sim_options)
+                return simulate_blowfly(params, self.series_length, rng)
             return simulate_blowfly_batch(params, self.series_length, reps,
-                                          rng, **self.sim_options)
+                                          rng)
         params = VolesParams.from_array(rho_row)
-        return simulate_voles(params, self.series_length, rng, reps=reps,
-                              **self.sim_options)
+        return simulate_voles(params, self.series_length, rng, reps=reps)
 
 
-def blowfly_model(prior=None, series_length=275, **sim_options) -> SimModel:
-    return SimModel("blowfly", prior or default_blowfly_prior(),
-                    series_length, sim_options)
+def blowfly_model(prior=None, series_length=275) -> SimModel:
+    return SimModel("blowfly", prior or default_blowfly_prior(), series_length)
 
 
-def voles_model(prior=None, series_length=90, **sim_options) -> SimModel:
-    return SimModel("voles", prior or default_voles_prior(), series_length,
-                    sim_options)
+def voles_model(prior=None, series_length=90) -> SimModel:
+    return SimModel("voles", prior or default_voles_prior(), series_length)
 
 
 @dataclass
@@ -181,6 +176,12 @@ class LfiFitConfig:
 
     def __post_init__(self):
         self.train_config(seed=0)  # bad training options fail here, early
+        self.kernel_sizes = _positive_pair("kernel_sizes", self.kernel_sizes)
+        self.filter_counts = _positive_pair("filter_counts",
+                                            self.filter_counts)
+        self.dense_width = _positive_int("dense_width", self.dense_width)
+        if not self.l2 >= 0:
+            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown shrinkage variant {self.variant!r}; "
                              f"expected one of {VARIANTS}")
@@ -191,6 +192,25 @@ class LfiFitConfig:
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
                            patience=self.patience, seed=seed)
+
+    def network(self, series_length, seed=0):
+        """The untrained CNN for series of ``series_length``."""
+        return build_cnn(series_length, kernel_sizes=self.kernel_sizes,
+                         filter_counts=self.filter_counts,
+                         dense_width=self.dense_width, l2=self.l2, seed=seed)
+
+
+def _positive_int(name, value):
+    if int(value) != value or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _positive_pair(name, values):
+    values = tuple(values)
+    if len(values) != 2:
+        raise ValueError(f"{name} needs two entries, got {list(values)}")
+    return tuple(_positive_int(name, v) for v in values)
 
 
 def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
@@ -209,13 +229,9 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
     cfg = config or LfiFitConfig()
     prior = train_batch.prior.params[param_index]
     response = prior.to_axis(train_batch.params[:, param_index])
-    net = build_cnn(train_batch.series_length,
-                    kernel_sizes=cfg.kernel_sizes,
-                    filter_counts=cfg.filter_counts,
-                    dense_width=cfg.dense_width, l2=cfg.l2, seed=seed)
     fit = fit_copula_regression(
         train_batch.series.astype(float), response, variant=cfg.variant,
-        network=net,
+        network=cfg.network(train_batch.series_length, seed),
         train_cfg=cfg.train_config(seed),
         burnin=cfg.burnin, draws=cfg.draws, thin=cfg.thin, seed=seed,
         rescale_features=False)

@@ -28,10 +28,28 @@ def _activation_grad(z, activation):
 
 
 class Layer:
-    """Common interface; concrete layers override the hooks they need."""
+    """Common interface; concrete layers override the hooks they need.
 
+    A layer's serialized form is :meth:`to_dict`: its ``kind`` and exactly
+    its constructor's keyword arguments, so ``LAYERS[kind](**fields)``
+    rebuilds it.
+    """
+
+    #: serialized name, the layer's key in :data:`LAYERS`
+    kind = None
     #: trainable parameter names, in flattening order
     param_names: tuple = ()
+    #: non-trainable arrays that must survive serialization
+    state_names: tuple = ()
+
+    def __init__(self):
+        self.grads = {}
+        self._cache = None
+
+    @property
+    def param_names_active(self):
+        """The parameters that enter the flat weight and gradient vectors."""
+        return self.param_names
 
     def out_shape(self, in_shape):
         raise NotImplementedError
@@ -42,46 +60,61 @@ class Layer:
     def backward(self, grad_out):
         raise NotImplementedError
 
-    def params(self):
-        return {name: getattr(self, name) for name in self.param_names}
-
     def l2_penalty(self):
         return 0.0
 
     def config(self):
+        """Constructor keywords other than the parameter and state arrays."""
         return {}
 
-    def state_arrays(self):
-        """Non-trainable arrays that must survive serialization."""
-        return {}
+    def to_dict(self):
+        fields = {"kind": self.kind, **self.config()}
+        for name in self.param_names + self.state_names:
+            fields[name] = getattr(self, name).tolist()
+        return fields
 
 
-class Dense(Layer):
+class _Affine(Layer):
+    """Weights with one bias per output unit, an activation and an L2
+    penalty on the weights: what Dense and Conv1D share."""
+
     param_names = ("weights", "bias")
 
-    def __init__(self, weights, bias=None, activation="linear", l2=0.0,
-                 use_bias=True):
+    def __init__(self, weights, bias, activation, l2, axes):
+        super().__init__()
         self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 2:
-            raise ShapeError("dense weights must be (out_dim, in_dim)")
-        self.use_bias = bool(use_bias)
+        if self.weights.ndim != len(axes):
+            raise ShapeError(f"{self.kind} weights must be ({', '.join(axes)})")
         if bias is None:
             bias = np.zeros(self.weights.shape[0])
         self.bias = np.asarray(bias, dtype=float)
         if self.bias.shape != (self.weights.shape[0],):
-            raise ShapeError("dense bias length must equal out_dim")
+            raise ShapeError(f"{self.kind} bias needs one entry per output unit")
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
         if l2 < 0:
             raise ValueError("l2 coefficient must be >= 0")
         self.l2 = float(l2)
-        self.grads = {}
-        self._cache = None
+
+    def l2_penalty(self):
+        return self.l2 * float(np.sum(self.weights * self.weights))
+
+    def config(self):
+        return {"activation": self.activation, "l2": self.l2}
+
+
+class Dense(_Affine):
+    kind = "dense"
+
+    def __init__(self, weights, bias=None, activation="linear", l2=0.0,
+                 use_bias=True):
+        super().__init__(weights, bias, activation, l2, ("out_dim", "in_dim"))
+        self.use_bias = bool(use_bias)
 
     @property
     def param_names_active(self):
-        return ("weights", "bias") if self.use_bias else ("weights",)
+        return self.param_names if self.use_bias else ("weights",)
 
     def out_shape(self, in_shape):
         if len(in_shape) != 1:
@@ -107,39 +140,18 @@ class Dense(Layer):
             self.grads["bias"] = dz.sum(axis=0)
         return dz @ self.weights
 
-    def l2_penalty(self):
-        return self.l2 * float(np.sum(self.weights * self.weights))
-
     def config(self):
-        return {"kind": "dense", "activation": self.activation, "l2": self.l2,
-                "use_bias": self.use_bias}
+        return {**super().config(), "use_bias": self.use_bias}
 
 
-class Conv1D(Layer):
+class Conv1D(_Affine):
     """Valid (unpadded) 1-D convolution; filters shaped (F, K, C)."""
 
-    param_names = ("weights", "bias")
+    kind = "conv1d"
 
     def __init__(self, weights, bias=None, activation="linear", l2=0.0):
-        self.weights = np.asarray(weights, dtype=float)
-        if self.weights.ndim != 3:
-            raise ShapeError("conv filter bank must be (filters, kernel, channels)")
-        if bias is None:
-            bias = np.zeros(self.weights.shape[0])
-        self.bias = np.asarray(bias, dtype=float)
-        if activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {activation!r}")
-        self.activation = activation
-        if l2 < 0:
-            raise ValueError("l2 coefficient must be >= 0")
-        self.l2 = float(l2)
-        self.use_bias = True
-        self.grads = {}
-        self._cache = None
-
-    @property
-    def param_names_active(self):
-        return ("weights", "bias")
+        super().__init__(weights, bias, activation, l2,
+                         ("filters", "kernel", "channels"))
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2:
@@ -200,81 +212,64 @@ class Conv1D(Layer):
         self.grads["bias"] = dz.sum(axis=(0, 1))
         return dx
 
-    def l2_penalty(self):
-        return self.l2 * float(np.sum(self.weights * self.weights))
-
-    def config(self):
-        return {"kind": "conv1d", "activation": self.activation, "l2": self.l2}
-
 
 class MaxPool1D(Layer):
+    """Max over non-overlapping windows of ``width`` samples.
+
+    ``stride`` must equal ``width``; both stay in the serialized form.
+    """
+
+    kind = "maxpool1d"
+
     def __init__(self, width=2, stride=2):
-        if width < 1 or stride < 1:
-            raise ValueError("pool width and stride must be positive")
+        super().__init__()
+        if width < 1 or stride != width:
+            raise ValueError("pool width must be positive and equal its stride")
         self.width = int(width)
         self.stride = int(stride)
-        self.grads = {}
-        self._cache = None
-
-    @property
-    def param_names_active(self):
-        return ()
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2:
             raise ShapeError(f"maxpool1d expects (length, channels), got {in_shape}")
         length, channels = in_shape
-        out_len = (length - self.width) // self.stride + 1
-        if out_len < 1:
+        if length < self.width:
             raise ShapeError(f"series length {length} shorter than pool {self.width}")
-        return (out_len, channels)
+        return (length // self.width, channels)
 
     def forward(self, x, training=False, rng=None):
-        if self.width == self.stride:
-            n, length, channels = x.shape
-            lo = (length - self.width) // self.stride + 1
-            blocks = x[:, :lo * self.stride, :].reshape(
-                n, lo, self.stride, channels)
-            idx = blocks.argmax(axis=2)
-            out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
-            if training:
-                self._cache = ("block", idx, x.shape)
-            return out
-        windows = np.lib.stride_tricks.sliding_window_view(
-            x, self.width, axis=1)[:, ::self.stride]
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+        n, length, channels = x.shape
+        lo = length // self.width
+        blocks = x[:, :lo * self.width, :].reshape(n, lo, self.width, channels)
+        idx = blocks.argmax(axis=2)
+        out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
         if training:
-            self._cache = ("scatter", idx, x.shape)
+            self._cache = (idx, x.shape)
         return out
 
     def backward(self, grad_out):
-        mode, idx, x_shape = self._cache
+        idx, x_shape = self._cache
+        n, lo, channels = idx.shape
+        dblocks = np.zeros((n, lo, self.width, channels))
+        np.put_along_axis(dblocks, idx[:, :, None, :], grad_out[:, :, None, :],
+                          axis=2)
         dx = np.zeros(x_shape)
-        if mode == "block":
-            n, lo, channels = idx.shape
-            dblocks = np.zeros((n, lo, self.stride, channels))
-            np.put_along_axis(dblocks, idx[:, :, None, :],
-                              grad_out[:, :, None, :], axis=2)
-            dx[:, :lo * self.stride, :] = dblocks.reshape(
-                n, lo * self.stride, channels)
-            return dx
-        n_ix, lo_ix, c_ix = np.indices(idx.shape)
-        l_ix = lo_ix * self.stride + idx
-        np.add.at(dx, (n_ix, l_ix, c_ix), grad_out)
+        dx[:, :lo * self.width, :] = dblocks.reshape(n, lo * self.width, channels)
         return dx
 
     def config(self):
-        return {"kind": "maxpool1d", "width": self.width, "stride": self.stride}
+        return {"width": self.width, "stride": self.stride}
 
 
 class BatchNorm(Layer):
     """Normalization over all axes but the last (channels)."""
 
+    kind = "batchnorm"
     param_names = ("gamma", "beta")
+    state_names = ("running_mean", "running_var")
 
     def __init__(self, channels, momentum=0.99, eps=1e-5, gamma=None, beta=None,
                  running_mean=None, running_var=None):
+        super().__init__()
         self.channels = int(channels)
         self.momentum = float(momentum)
         self.eps = float(eps)
@@ -284,12 +279,6 @@ class BatchNorm(Layer):
                              else np.asarray(running_mean, float))
         self.running_var = (np.ones(channels) if running_var is None
                             else np.asarray(running_var, float))
-        self.grads = {}
-        self._cache = None
-
-    @property
-    def param_names_active(self):
-        return ("gamma", "beta")
 
     def out_shape(self, in_shape):
         if in_shape[-1] != self.channels:
@@ -325,24 +314,18 @@ class BatchNorm(Layer):
         return inv_std / m * term
 
     def config(self):
-        return {"kind": "batchnorm", "channels": self.channels,
-                "momentum": self.momentum, "eps": self.eps}
-
-    def state_arrays(self):
-        return {"running_mean": self.running_mean, "running_var": self.running_var}
+        return {"channels": self.channels, "momentum": self.momentum,
+                "eps": self.eps}
 
 
 class Dropout(Layer):
+    kind = "dropout"
+
     def __init__(self, rate):
+        super().__init__()
         if not 0.0 <= rate < 1.0:
             raise ValueError("dropout rate must lie in [0, 1)")
         self.rate = float(rate)
-        self.grads = {}
-        self._cache = None
-
-    @property
-    def param_names_active(self):
-        return ()
 
     def out_shape(self, in_shape):
         return in_shape
@@ -364,17 +347,11 @@ class Dropout(Layer):
         return grad_out * self._cache / (1.0 - self.rate)
 
     def config(self):
-        return {"kind": "dropout", "rate": self.rate}
+        return {"rate": self.rate}
 
 
 class Flatten(Layer):
-    def __init__(self):
-        self.grads = {}
-        self._cache = None
-
-    @property
-    def param_names_active(self):
-        return ()
+    kind = "flatten"
 
     def out_shape(self, in_shape):
         return (int(np.prod(in_shape)),)
@@ -387,5 +364,7 @@ class Flatten(Layer):
     def backward(self, grad_out):
         return grad_out.reshape(self._cache)
 
-    def config(self):
-        return {"kind": "flatten"}
+
+#: every serializable layer class by its ``kind``
+LAYERS = {cls.kind: cls
+          for cls in (Dense, Conv1D, MaxPool1D, BatchNorm, Dropout, Flatten)}

@@ -2,19 +2,13 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 
 import numpy as np
 
 from ..errors import ShapeError
-from .layers import (
-    BatchNorm,
-    Conv1D,
-    Dense,
-    Dropout,
-    Flatten,
-    MaxPool1D,
-)
+from .layers import LAYERS, Dense
 
 SERIAL_VERSION = 1
 
@@ -152,18 +146,10 @@ class Network:
     # -- serialization -------------------------------------------------------------
 
     def to_json(self) -> str:
-        layers_payload = []
-        for layer in self.layers:
-            entry = dict(layer.config())
-            for name in layer.param_names:
-                entry[name] = getattr(layer, name).tolist()
-            for name, arr in layer.state_arrays().items():
-                entry[name] = arr.tolist()
-            layers_payload.append(entry)
         doc = {
             "version": SERIAL_VERSION,
             "input_shape": list(self.input_shape),
-            "layers": layers_payload,
+            "layers": [layer.to_dict() for layer in self.layers],
         }
         return json.dumps(doc, sort_keys=True)
 
@@ -173,29 +159,13 @@ class Network:
         if doc.get("version") != SERIAL_VERSION:
             raise ShapeError(f"unsupported network format {doc.get('version')!r}")
         layers = []
-        for entry in doc["layers"]:
-            kind = entry["kind"]
-            if kind == "dense":
-                layers.append(Dense(entry["weights"], entry["bias"],
-                                    activation=entry["activation"],
-                                    l2=entry["l2"], use_bias=entry["use_bias"]))
-            elif kind == "conv1d":
-                layers.append(Conv1D(entry["weights"], entry["bias"],
-                                     activation=entry["activation"],
-                                     l2=entry["l2"]))
-            elif kind == "maxpool1d":
-                layers.append(MaxPool1D(entry["width"], entry["stride"]))
-            elif kind == "batchnorm":
-                layers.append(BatchNorm(entry["channels"],
-                                        momentum=entry["momentum"],
-                                        eps=entry["eps"],
-                                        gamma=entry["gamma"], beta=entry["beta"],
-                                        running_mean=entry["running_mean"],
-                                        running_var=entry["running_var"]))
-            elif kind == "dropout":
-                layers.append(Dropout(entry["rate"]))
-            elif kind == "flatten":
-                layers.append(Flatten())
-            else:
+        for fields in doc["layers"]:
+            kind = fields.pop("kind")
+            if kind not in LAYERS:
                 raise ShapeError(f"unknown layer kind {kind!r}")
+            expected = set(inspect.signature(LAYERS[kind]).parameters)
+            if set(fields) != expected:
+                raise ShapeError(f"{kind} layer has fields {sorted(fields)}, "
+                                 f"expected {sorted(expected)}")
+            layers.append(LAYERS[kind](**fields))
         return cls(layers, doc["input_shape"])

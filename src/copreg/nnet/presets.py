@@ -45,12 +45,12 @@ def build_ffn(p, width=64, dropout_rate=0.5, seed=0, output_bias=False):
 
 
 def build_cnn(series_len, kernel_sizes=(31, 10), filter_counts=(31, 7),
-              l2=1e-3, dense_width=100, pool_width=2, pool_stride=2, seed=0,
-              output_bias=False):
+              l2=1e-3, dense_width=100, seed=0, output_bias=False):
     """Two conv blocks, then a dense hidden layer, linear scalar output.
 
     Layout: conv(relu, L2) -> batchnorm -> maxpool -> conv(relu, L2) ->
     batchnorm -> flatten -> dense(relu) -> batchnorm -> dense(linear).
+    The max-pool halves the series: width = stride = 2.
     Convolutions are unpadded; inputs are the raw series (no normalization).
     """
     if series_len < 1:
@@ -61,7 +61,7 @@ def build_cnn(series_len, kernel_sizes=(31, 10), filter_counts=(31, 7),
     layers = [
         _conv(rng, 1, f1, k1, l2),
         BatchNorm(f1),
-        MaxPool1D(pool_width, pool_stride),
+        MaxPool1D(),
         _conv(rng, f1, f2, k2, l2),
         BatchNorm(f2),
         Flatten(),

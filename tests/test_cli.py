@@ -311,6 +311,16 @@ def test_bad_training_options_exit_config(tmp_path, dataset_csv, task,
     ("lfi", {"lfi_fit": {"burnin": -5}}),
     ("lfi", {"lfi_fit": {"draws": -3}}),
     ("lfi-fit", {"lfi_fit": {"draws": "many"}}),
+    ("lfi-fit", {"lfi_fit": {"kernel_sizes": [7, 5, 3]}}),
+    ("lfi", {"lfi_fit": {"kernel_sizes": [7, 5, 3]}}),
+    ("lfi-fit", {"lfi_fit": {"kernel_sizes": 7}}),
+    ("lfi-fit", {"lfi_fit": {"dense_width": 0}}),
+    ("lfi", {"lfi_fit": {"dense_width": 0}}),
+    ("lfi-fit", {"lfi_fit": {"filter_counts": [0, 2]}}),
+    ("lfi", {"lfi_fit": {"filter_counts": [0, 2]}}),
+    ("lfi-fit", {"lfi_fit": {"l2": -1}}),
+    ("lfi", {"lfi_fit": {"l2": -1}}),
+    ("lfi", {"series_length": 40, "lfi_fit": {"kernel_sizes": [60, 5]}}),
 ])
 def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
                                                           options):
@@ -375,3 +385,58 @@ def test_calibrate_rejects_bad_refit_sampler_sizes_before_refitting(
                             "folds": 2})
     assert main(["calibrate", "--config", cal_cfg,
                  "--out", str(tmp_path / "cal"), "--seed", "2"]) == EXIT_CONFIG
+
+
+def test_kfold_calibrate_refuses_bundles_that_fit_did_not_write(
+        tmp_path, monkeypatch):
+    # An lfi-fit bundle records no fit config: k-fold refits of it used to
+    # fall back to the tabular defaults and score a different model.
+    import copreg.cli as cli
+    from copreg.lfi.priors import default_blowfly_prior
+
+    cfg = write_config(tmp_path / "lfi.json", {
+        "simulator": "blowfly", "series_length": 40, "n_total": 20,
+        "split": 0.8, "data_dir": str(tmp_path / "data"),
+        "lfi_fit": {"kernel_sizes": [7, 5], "filter_counts": [3, 2],
+                    "dense_width": 6, "epochs": 2, "batch_size": 16,
+                    "variant": "ridge", "burnin": 10, "draws": 20}})
+    for task, out in (("lfi-simulate", "data"), ("lfi-fit", "fit")):
+        assert main([task, "--config", cfg, "--out", str(tmp_path / out),
+                     "--seed", "6"]) == 0, task
+    bundle = tmp_path / "fit" / "param_delay"
+
+    calls = []
+    real_fit = cli.fit_copula_regression
+
+    def spy(x, y, **kwargs):
+        calls.append(kwargs)
+        return real_fit(x, y, **kwargs)
+
+    monkeypatch.setattr(cli, "fit_copula_regression", spy)
+    cal_cfg = write_config(tmp_path / "cal.json", {
+        "bundle": str(bundle), "dataset": str(tmp_path / "missing.csv"),
+        "folds": 2})
+    assert main(["calibrate", "--config", cal_cfg,
+                 "--out", str(tmp_path / "cal"), "--seed", "6"]) == EXIT_CONFIG
+    assert calls == []
+    assert not (tmp_path / "cal").exists()
+
+    # in-sample diagnostics need no refit and still run
+    rows = np.loadtxt(tmp_path / "data" / "train.csv", delimiter=",",
+                      skiprows=1)
+    prior = default_blowfly_prior()
+    j = prior.names.index("delay")
+    series = rows[:, prior.dim:]
+    table = np.column_stack([series, prior.params[j].to_axis(rows[:, j])])
+    header = [f"d_{t + 1}" for t in range(series.shape[1])] + ["delay"]
+    data = tmp_path / "delay.csv"
+    np.savetxt(data, table, delimiter=",", header=",".join(header),
+               comments="", fmt="%.17g")
+    cal_cfg = write_config(tmp_path / "cal0.json", {
+        "bundle": str(bundle), "dataset": str(data), "folds": 0,
+        "grid_size": 32})
+    assert main(["calibrate", "--config", cal_cfg,
+                 "--out", str(tmp_path / "cal0"), "--seed", "6"]) == 0
+    assert calls == []
+    scores = json.loads((tmp_path / "cal0" / "scores.json").read_text())
+    assert np.isfinite(scores["mls_in_sample"])

@@ -1,5 +1,7 @@
 """Network engine: forward oracles, finite-difference gradients, training."""
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -296,3 +298,70 @@ def test_output_intercept_reporting():
     with_bias = build_ffn(3, seed=0, output_bias=True)
     with_bias.layers[-1].bias[0] = 1.25
     assert with_bias.output_intercept == 1.25
+
+
+# -- layer format ---------------------------------------------------------------------
+
+
+def _layer_classes(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _layer_classes(sub)
+
+
+def test_every_layer_kind_round_trips_through_its_dict():
+    import copreg.nnet.layers as layers
+
+    rng = np.random.default_rng(19)
+    moved = BatchNorm(3, momentum=0.5)
+    moved.forward(rng.normal(loc=2.0, size=(8, 3)), training=True)
+    assert np.all(moved.running_mean != 0.0)
+    examples = {
+        "dense": Dense(rng.normal(size=(2, 3)), activation="relu", l2=0.25,
+                       use_bias=False),
+        "conv1d": Conv1D(rng.normal(size=(2, 3, 1)), rng.normal(size=2),
+                         activation="relu", l2=0.5),
+        "maxpool1d": MaxPool1D(),
+        "batchnorm": moved,
+        "dropout": Dropout(0.3),
+        "flatten": Flatten(),
+    }
+    assert set(examples) == set(layers.LAYERS)
+    for kind, layer in examples.items():
+        fields = layer.to_dict()
+        assert fields.pop("kind") == kind
+        assert set(fields) == set(inspect.signature(type(layer)).parameters)
+        clone = layers.LAYERS[kind](**fields)
+        assert type(clone) is type(layer)
+        assert clone.to_dict() == layer.to_dict(), kind
+    assert examples["dense"].param_names_active == ("weights",)
+
+    # no layer can be saved without a loader: every class that no other
+    # layer extends is registered under its kind
+    own = {cls for cls in _layer_classes(layers.Layer)
+           if cls.__module__ == layers.__name__}
+    leaves = {cls for cls in own if not cls.__subclasses__()}
+    assert leaves == set(layers.LAYERS.values())
+    assert all(layers.LAYERS[cls.kind] is cls for cls in leaves)
+
+
+def test_bad_layer_entries_and_overlapping_pool_are_rejected():
+    import json
+
+    text = build_cnn(40, kernel_sizes=(7, 5), filter_counts=(4, 3),
+                     dense_width=9, seed=8).to_json()
+    doc = json.loads(text)
+    doc["layers"][2]["kind"] = "lstm"
+    with pytest.raises(ShapeError, match="lstm"):
+        Network.from_json(json.dumps(doc))
+    # a missing field must not fall back to a constructor default
+    doc = json.loads(text)
+    del doc["layers"][1]["running_mean"]
+    with pytest.raises(ShapeError, match="running_mean"):
+        Network.from_json(json.dumps(doc))
+    doc = json.loads(text)
+    doc["layers"][0]["padding"] = "same"
+    with pytest.raises(ShapeError, match="padding"):
+        Network.from_json(json.dumps(doc))
+    with pytest.raises(ValueError):
+        MaxPool1D(3, 2)
