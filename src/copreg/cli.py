@@ -28,7 +28,7 @@ from .calibration import (
     log_score,
     probability_calibration,
 )
-from .copula import VARIANTS, check_sampler_sizes
+from .copula import check_sampler
 from .errors import (
     ConfigError,
     DataError,
@@ -55,6 +55,7 @@ from .pipeline import (
     CopulaRegression,
     config_hash,
     fit_copula_regression,
+    write_manifest,
 )
 from .predict import (
     average_predictive_cdf,
@@ -142,21 +143,14 @@ def _options(factory, opts, key):
 
 
 def _train_cfg(cfg, seed):
-    opts = dict(cfg.get("train", {}))
-    opts.setdefault("epochs", 200)
-    opts["seed"] = seed
-    return _options(TrainConfig, opts, "train")
+    return _options(TrainConfig, {**cfg.get("train", {}), "seed": seed},
+                    "train")
 
 
-def _write_manifest(out_dir, cfg, seed, extra=None):
-    payload = {"config_hash": config_hash(cfg), "seed": seed,
-               "version": __version__, "config": cfg}
-    if extra:
-        payload.update(extra)
-    path = os.path.join(out_dir, "manifest.json")
-    with open(path, "w") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1)
-    return path
+def _record(cfg, seed, task):
+    """The manifest fields of one command run."""
+    return {"config": cfg, "config_hash": config_hash(cfg), "seed": seed,
+            "task": task}
 
 
 # -- tabular commands ----------------------------------------------------------------
@@ -171,12 +165,9 @@ def _network_options(width=64, dropout=0.5):
 
 
 def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown shrinkage variant {variant!r}; "
-                         f"expected one of {VARIANTS}")
     opts = {"variant": variant, "burnin": int(burnin), "draws": int(draws),
             "thin": int(thin)}
-    check_sampler_sizes(opts["burnin"], opts["draws"], opts["thin"])
+    check_sampler(**opts)
     return opts
 
 
@@ -201,8 +192,7 @@ def cmd_fit(cfg, out_dir, seed):
     x, y = table[:, :-1], table[:, -1]
     fit = _fit_tabular(options, x, y, seed)
     fit.meta.update({"dataset": os.path.basename(cfg["dataset"]),
-                     "response": header[-1], "task": "fit", "config": cfg,
-                     "config_hash": config_hash(cfg)})
+                     "response": header[-1], **_record(cfg, seed, "fit")})
     os.makedirs(out_dir, exist_ok=True)
     fit.save(out_dir)
     return EXIT_OK
@@ -217,7 +207,7 @@ def cmd_predict(cfg, out_dir, seed):
     os.makedirs(out_dir, exist_ok=True)
     export_density_csv(fit.predictive, x, out_dir,
                        num=int(cfg.get("grid_size", 512)))
-    _write_manifest(out_dir, cfg, seed, extra={"task": "predict"})
+    write_manifest(out_dir, _record(cfg, seed, "predict"))
     return EXIT_OK
 
 
@@ -265,7 +255,7 @@ def cmd_calibrate(cfg, out_dir, seed):
     report.save(os.path.join(out_dir, "probability_calibration.csv"),
                 os.path.join(out_dir, "marginal_calibration.csv"),
                 os.path.join(out_dir, "scores.json"))
-    _write_manifest(out_dir, cfg, seed, extra={"task": "calibrate"})
+    write_manifest(out_dir, _record(cfg, seed, "calibrate"))
     return EXIT_OK
 
 
@@ -291,6 +281,14 @@ def _lfi_config(cfg):
     return _options(LfiFitConfig, cfg.get("lfi_fit", {}), "lfi_fit")
 
 
+def _check_lfi_network(lfi_cfg, series_length):
+    """Reject fit options whose network does not fit the series length."""
+    try:
+        lfi_cfg.network(series_length)
+    except ShapeError as exc:
+        raise ConfigError(f"invalid 'lfi_fit' options: {exc}") from None
+
+
 def cmd_lfi_simulate(cfg, out_dir, seed):
     model = _sim_model(cfg)
     n_total = int(cfg.get("n_total", 2500))
@@ -300,9 +298,8 @@ def cmd_lfi_simulate(cfg, out_dir, seed):
     os.makedirs(out_dir, exist_ok=True)
     train_b.save_csv(os.path.join(out_dir, "train.csv"))
     test_b.save_csv(os.path.join(out_dir, "test.csv"))
-    _write_manifest(out_dir, cfg, seed,
-                    extra={"task": "lfi-simulate",
-                           "param_names": list(model.prior.names)})
+    write_manifest(out_dir, {**_record(cfg, seed, "lfi-simulate"),
+                             "param_names": list(model.prior.names)})
     return EXIT_OK
 
 
@@ -312,12 +309,13 @@ def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     train_path = os.path.join(data_dir, "train.csv")
     train_b = SimBatch.load_csv(train_path, prior=model.prior)
+    _check_lfi_network(lfi_cfg, train_b.series_length)
     os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(model.prior.names):
         bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=seed * 7919 + j,
                          return_bundle=True)
         bundle.save(os.path.join(out_dir, f"param_{name}"))
-    _write_manifest(out_dir, cfg, seed, extra={"task": "lfi-fit"})
+    write_manifest(out_dir, _record(cfg, seed, "lfi-fit"))
     return EXIT_OK
 
 
@@ -367,17 +365,14 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "lfi_report.json"), "w") as fh:
         json.dump(report, fh, sort_keys=True, indent=1)
-    _write_manifest(out_dir, cfg, seed, extra={"task": "lfi-score"})
+    write_manifest(out_dir, _record(cfg, seed, "lfi-score"))
     return EXIT_OK
 
 
 def cmd_lfi(cfg, out_dir, seed):
     """Full pipeline: simulate, fit every parameter, score."""
-    lfi_cfg = _lfi_config(cfg)  # reject bad fit options before simulating
-    try:
-        lfi_cfg.network(_sim_model(cfg).series_length)
-    except ShapeError as exc:
-        raise ConfigError(f"invalid 'lfi_fit' options: {exc}") from None
+    # reject bad fit options before simulating
+    _check_lfi_network(_lfi_config(cfg), _sim_model(cfg).series_length)
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
     return cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir,

@@ -128,13 +128,13 @@ def scaling_rows(basis, state: ShrinkageState) -> np.ndarray:
                            state.prior_variance_diag(np.shape(basis)[1]))
 
 
-def corr_matrix(basis, state: ShrinkageState, oracle_limit=ORACLE_LIMIT):
+def corr_matrix(basis, state: ShrinkageState):
     """Dense copula correlation matrix; testing oracle for small n only."""
     basis = np.asarray(basis, dtype=float)
     n, q = basis.shape
-    if n > oracle_limit:
+    if n > ORACLE_LIMIT:
         raise DomainError(
-            f"corr_matrix is a small-n oracle (n={n} > limit {oracle_limit}); "
+            f"corr_matrix is a small-n oracle (n={n} > limit {ORACLE_LIMIT}); "
             "the production likelihood never materializes R")
     v = state.prior_variance_diag(q)
     m = np.eye(n) + (basis * v) @ basis.T
@@ -143,14 +143,13 @@ def corr_matrix(basis, state: ShrinkageState, oracle_limit=ORACLE_LIMIT):
     return 0.5 * (r + r.T)
 
 
-def copula_logdensity(u, basis, state: ShrinkageState,
-                      oracle_limit=ORACLE_LIMIT) -> float:
+def copula_logdensity(u, basis, state: ShrinkageState) -> float:
     """log copula density at u in (0,1)^n; small-n oracle (dense solve)."""
     u = np.asarray(u, dtype=float)
     if np.any((u <= 0.0) | (u >= 1.0)):
         raise DomainError("copula arguments must lie strictly in (0, 1)")
     z = ndtri(u)
-    r = corr_matrix(basis, state, oracle_limit=oracle_limit)
+    r = corr_matrix(basis, state)
     try:
         cho = cho_factor(r, lower=True)
     except np.linalg.LinAlgError as exc:
@@ -389,7 +388,7 @@ class PosteriorDraws:
     def q(self):
         return self.beta_draws.shape[1]
 
-    def save_csv(self, csv_path, header_path, extra_header=None):
+    def save_csv(self, csv_path, header_path):
         names = ([f"beta_{j + 1}" for j in range(self.q)]
                  + ShrinkageState.flat_names(self.variant, self.q))
         rows = np.hstack([self.beta_draws,
@@ -398,8 +397,6 @@ class PosteriorDraws:
                    comments="", fmt="%.17g")
         header = {"variant": self.variant, "q": self.q, "draws": self.n_draws,
                   "diagnostics": self.diagnostics}
-        if extra_header:
-            header.update(extra_header)
         with open(header_path, "w") as fh:
             json.dump(header, fh, sort_keys=True)
 
@@ -432,8 +429,12 @@ def _ess(chain):
     return n / (1.0 + 2.0 * acc)
 
 
-def check_sampler_sizes(burnin, draws, thin):
-    """Raise :class:`DomainError` unless draws >= 1, thin >= 1, burnin >= 0."""
+def check_sampler(variant, burnin, draws, thin):
+    """Raise :class:`DomainError` unless ``variant`` is one of
+    :data:`VARIANTS`, draws >= 1, thin >= 1 and burnin >= 0."""
+    if variant not in VARIANTS:
+        raise DomainError(f"unknown shrinkage variant {variant!r}; "
+                          f"expected one of {VARIANTS}")
     if draws < 1 or thin < 1 or burnin < 0:
         raise DomainError(
             f"sampler sizes need draws >= 1, thin >= 1 and burnin >= 0; "
@@ -449,7 +450,7 @@ def run_mcmc_pseudo(z, basis, variant, burnin=1000, draws=1000, rng=None,
     """
     if rng is None:
         raise DomainError("run_mcmc requires an explicit rng for reproducibility")
-    check_sampler_sizes(burnin, draws, thin)
+    check_sampler(variant, burnin, draws, thin)
     z = np.asarray(z, dtype=float)
     basis = np.asarray(basis, dtype=float)
     n, q = basis.shape

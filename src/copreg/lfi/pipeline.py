@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 
-from ..copula import VARIANTS, check_sampler_sizes
+from ..copula import check_sampler
 from ..errors import ConfigError, DataError, SimulationDivergedError
 
 from ..nnet import TrainConfig, build_cnn
@@ -182,12 +182,9 @@ class LfiFitConfig:
         self.dense_width = _positive_int("dense_width", self.dense_width)
         if not self.l2 >= 0:
             raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"unknown shrinkage variant {self.variant!r}; "
-                             f"expected one of {VARIANTS}")
         self.burnin, self.draws, self.thin = (int(self.burnin),
                                               int(self.draws), int(self.thin))
-        check_sampler_sizes(self.burnin, self.draws, self.thin)
+        check_sampler(self.variant, self.burnin, self.draws, self.thin)
 
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -233,8 +230,7 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
         train_batch.series.astype(float), response, variant=cfg.variant,
         network=cfg.network(train_batch.series_length, seed),
         train_cfg=cfg.train_config(seed),
-        burnin=cfg.burnin, draws=cfg.draws, thin=cfg.thin, seed=seed,
-        rescale_features=False)
+        burnin=cfg.burnin, draws=cfg.draws, thin=cfg.thin, seed=seed)
     fit.meta.update(param=prior.name, axis=prior.axis)
     return fit if return_bundle else fit.predictive
 
@@ -246,18 +242,18 @@ def fit_all_parameters(train_batch: SimBatch, config: LfiFitConfig = None,
             for j in range(train_batch.params.shape[1])]
 
 
-def eval_simulation(models, test_batch: SimBatch, level=0.95):
+def eval_simulation(models, test_batch: SimBatch):
     """Per-parameter point-estimation error and credible-interval coverage.
 
     MSE is over posterior means of rho_j on its prior's axis; coverage
-    counts test truths inside the central ``level`` predictive interval,
-    checked through the predictive CDF (exact for strictly increasing CDFs).
+    counts test truths inside the central 95% predictive interval, checked
+    through the predictive CDF (exact for strictly increasing CDFs).
     """
-    alpha = 0.5 * (1.0 - level)
+    alpha = 0.5 * (1.0 - 0.95)
+    series = test_batch.series.astype(float)
     out = {}
     for j, pm in enumerate(models):
         truth = test_batch.prior.params[j].to_axis(test_batch.params[:, j])
-        series = test_batch.series.astype(float)
         est = predictive_expectation(pm, series)
         sq_err = (est - truth) ** 2
         u = predict_cdf_at(pm, series, truth)
@@ -271,13 +267,13 @@ def eval_simulation(models, test_batch: SimBatch, level=0.95):
 
 
 def marginal_calibration_distance(pm: PredictiveModel, test_batch: SimBatch,
-                                  reference_sample, grid_size=512):
+                                  reference_sample):
     """Sup distance between the test-averaged posterior CDF and the prior CDF.
 
     The reference is an independent prior sample on the parameter's axis
     (robust to integer parameters, where no closed-form density applies).
     """
-    grid = margin_grid(pm.margin, num=grid_size)
+    grid = margin_grid(pm.margin)
     avg_cdf = average_predictive_cdf(pm, test_batch.series.astype(float),
                                      grid)
     ref = np.sort(np.asarray(reference_sample, dtype=float))

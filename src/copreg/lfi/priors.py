@@ -1,4 +1,4 @@
-"""Configurable parameter priors for the simulators, serialized as JSON.
+"""Configurable parameter priors for the simulators, read from JSON.
 
 Reference prior tables for these models are not distributed with the
 library; the shipped defaults are documented stand-ins chosen to generate
@@ -61,10 +61,6 @@ class ParamPrior:
         return self.rounded(self.from_axis(rng.normal(self.mu, self.sigma,
                                                       size=size)))
 
-    def to_dict(self):
-        return {"name": self.name, "dist": self.dist, "mu": self.mu,
-                "sigma": self.sigma, "integer": self.integer}
-
 
 @dataclass
 class PriorSpec:
@@ -82,12 +78,6 @@ class PriorSpec:
 
     def sample_matrix(self, rng, n):
         return np.column_stack([p.sample(rng, size=n) for p in self.params])
-
-    def save(self, path):
-        with open(path, "w") as fh:
-            json.dump({"version": 1,
-                       "params": [p.to_dict() for p in self.params]},
-                      fh, sort_keys=True, indent=1)
 
     @classmethod
     def load(cls, path):

@@ -43,11 +43,6 @@ class BlowflyParams:
         if int(self.delay) != self.delay or self.delay < 1:
             raise DomainError("delay must be an integer >= 1")
 
-    def as_array(self):
-        return np.array([self.survival_rate, self.recruitment_scale,
-                         self.scaling_pop, self.recruit_noise_var,
-                         float(self.delay), self.survival_noise_var])
-
     @classmethod
     def from_array(cls, values):
         return cls(survival_rate=float(values[0]),
@@ -174,12 +169,6 @@ class VolesParams:
             raise DomainError("seasonal amplitude must lie in [0, 1)")
         if self.noise_scale < 0.0:
             raise DomainError("noise scale must be nonnegative")
-
-    def as_array(self):
-        return np.array([self.prey_growth, self.season_amplitude,
-                         self.gen_pred_max, self.gen_pred_scale,
-                         self.attack_rate, self.interference,
-                         self.pred_growth, self.noise_scale, self.obs_rate])
 
     @classmethod
     def from_array(cls, values):

@@ -17,7 +17,7 @@ from scipy.special import ndtr
 from scipy.stats import norm
 
 from . import __version__
-from .copula import PosteriorDraws, check_sampler_sizes, run_mcmc_pseudo
+from .copula import PosteriorDraws, check_sampler, run_mcmc_pseudo
 from .errors import DataError
 from .margin import MarginModel, fit_kde, to_pseudo
 from .nnet import Network, TrainConfig, build_ffn, train
@@ -59,6 +59,14 @@ class FeatureScaler:
         return cls(lo=np.asarray(doc["lo"]), span=np.asarray(doc["span"]))
 
 
+def write_manifest(out_dir, fields):
+    """Write ``manifest.json`` in ``out_dir``: ``fields`` plus the package
+    ``version``, keys sorted.  The one writer of that file."""
+    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
+        json.dump({"version": __version__, **fields}, fh, sort_keys=True,
+                  indent=1)
+
+
 @dataclass
 class CopulaRegression:
     """Fitted model: the pieces of the three estimation steps plus access."""
@@ -81,19 +89,13 @@ class CopulaRegression:
             fh.write(self.margin.to_json())
         with open(os.path.join(out_dir, "network.json"), "w") as fh:
             fh.write(self.network.to_json())
-        sampler_keys = ("seed", "burnin", "thin")
         self.draws.save_csv(os.path.join(out_dir, "draws.csv"),
-                            os.path.join(out_dir, "draws_header.json"),
-                            extra_header={k: self.meta[k]
-                                          for k in sampler_keys
-                                          if k in self.meta})
+                            os.path.join(out_dir, "draws_header.json"))
         if self.scaler is not None:
             with open(os.path.join(out_dir, "scaler.json"), "w") as fh:
                 fh.write(self.scaler.to_json())
-        with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-            json.dump({"kind": "copula-regression-bundle",
-                       "version": __version__, **self.meta}, fh,
-                      sort_keys=True, indent=1)
+        write_manifest(out_dir, {"kind": "copula-regression-bundle",
+                                 **self.meta})
 
     @classmethod
     def load(cls, out_dir):
@@ -134,20 +136,29 @@ class _ScaledBasis:
         return basis[0] if single else basis
 
 
+def _scaled_inputs(network, x):
+    """``(scaler, network inputs)``: feature vectors are min-max rescaled,
+    series (and other multi-axis inputs) stay raw."""
+    if len(network.input_shape) != 1:
+        return None, x
+    scaler = FeatureScaler.fit(x)
+    return scaler, scaler.transform(x)
+
+
 def fit_copula_regression(x, y, variant="horseshoe", network=None,
                           train_cfg=None, burnin=1000, draws=1000, thin=1,
-                          seed=0, rescale_features=True) -> CopulaRegression:
+                          seed=0) -> CopulaRegression:
     """Three-step estimation of the copula regression.
 
     1. fit the nonparametric margin to ``y``;
     2. map to pseudo-responses, train the network on them, extract basis;
     3. Gibbs over the output-layer coefficients and shrinkage parameters.
 
-    ``network`` defaults to the dense feed-forward preset; pass a
-    convolutional network for series features (set ``rescale_features``
-    False there, series inputs stay raw).
+    ``network`` defaults to the dense feed-forward preset, whose feature
+    columns are rescaled to [0, 1]; a convolutional network for series
+    features sees them raw.
     """
-    check_sampler_sizes(burnin, draws, thin)  # before any training
+    check_sampler(variant, burnin, draws, thin)  # before any fitting
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != y.size:
@@ -155,17 +166,10 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
     margin = fit_kde(y)
     z = to_pseudo(margin, y)
 
-    scaler = None
-    x_in = x
-    if rescale_features and x.ndim == 2:
-        scaler = FeatureScaler.fit(x)
-        x_in = scaler.transform(x)
     if network is None:
         network = build_ffn(x.shape[1], seed=seed)
-    if train_cfg is None:
-        # protocol: full-batch updates for the dense preset
-        train_cfg = TrainConfig(epochs=200, batch_size=None, seed=seed)
-    train(network, x_in, z, train_cfg)
+    scaler, x_in = _scaled_inputs(network, x)
+    train(network, x_in, z, train_cfg or TrainConfig(seed=seed))
 
     basis = network.extract_basis(x_in)
     rng = np.random.default_rng(seed + 1)
@@ -217,21 +221,15 @@ class GaussianBaseline:
                     / np.sqrt(self.sigma2)).mean(axis=0)
 
 
-def fit_gaussian_baseline(x, y, network=None, train_cfg=None, seed=0,
-                          rescale_features=True) -> GaussianBaseline:
+def fit_gaussian_baseline(x, y, network=None, train_cfg=None,
+                          seed=0) -> GaussianBaseline:
     """Train the same architecture directly on the response; estimate sigma2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    scaler = None
-    x_in = x
-    if rescale_features and x.ndim == 2:
-        scaler = FeatureScaler.fit(x)
-        x_in = scaler.transform(x)
     if network is None:
         network = build_ffn(x.shape[1], seed=seed, output_bias=True)
-    if train_cfg is None:
-        train_cfg = TrainConfig(epochs=200, batch_size=None, seed=seed)
-    train(network, x_in, y, train_cfg)
+    scaler, x_in = _scaled_inputs(network, x)
+    train(network, x_in, y, train_cfg or TrainConfig(seed=seed))
     resid = y - network.forward(x_in)[:, 0]
     sigma2 = float(np.mean(resid * resid))
     if sigma2 == 0.0:

@@ -182,9 +182,9 @@ def average_predictive_cdf(pm: PredictiveModel, x_rows, y_grid) -> np.ndarray:
                      PredictiveKernel.cdf)
 
 
-def export_density_csv(pm: PredictiveModel, x_rows, out_dir, prefix="pred",
-                       num=GRID_SIZE):
-    """One (y, density, cdf) CSV per observation index; returns the paths.
+def export_density_csv(pm: PredictiveModel, x_rows, out_dir, num=GRID_SIZE):
+    """One (y, density, cdf) CSV ``pred_<index>.csv`` per observation;
+    returns the paths.
 
     Each file's grid is the row's :func:`default_grid`.
     """
@@ -194,7 +194,7 @@ def export_density_csv(pm: PredictiveModel, x_rows, out_dir, prefix="pred",
     for i, (f_hat, s_hat) in enumerate(zip(f_all, s_all)):
         ends = pm.margin.quantile(_margin_level(f_hat, s_hat, tails))
         kernel = PredictiveKernel(pm.margin, np.linspace(*ends, num))
-        path = os.path.join(out_dir, f"{prefix}_{i:05d}.csv")
+        path = os.path.join(out_dir, f"pred_{i:05d}.csv")
         np.savetxt(path, np.column_stack([kernel.y,
                                           np.exp(kernel.logpdf(f_hat, s_hat)),
                                           kernel.cdf(f_hat, s_hat)]),

@@ -440,3 +440,55 @@ def test_kfold_calibrate_refuses_bundles_that_fit_did_not_write(
     assert calls == []
     scores = json.loads((tmp_path / "cal0" / "scores.json").read_text())
     assert np.isfinite(scores["mls_in_sample"])
+
+
+def test_lfi_fit_rejects_kernels_longer_than_the_series(tmp_path):
+    # the series length is known only once train.csv is read; a kernel
+    # longer than it is a config/data mismatch, not a numerical failure
+    cfg = write_config(tmp_path / "lfi.json", {
+        "simulator": "blowfly", "series_length": 40, "n_total": 10,
+        "split": 0.8, "data_dir": str(tmp_path / "data"),
+        "lfi_fit": {"kernel_sizes": [60, 5]}})
+    assert main(["lfi-simulate", "--config", cfg, "--out",
+                 str(tmp_path / "data"), "--seed", "1"]) == 0
+    out = tmp_path / "fit"
+    assert main(["lfi-fit", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    assert not list(out.glob("param_*"))
+
+
+def test_every_command_writes_the_manifest_contract(tmp_path, dataset_csv):
+    record = {"version", "seed", "config_hash", "config", "task"}
+
+    def run(task, payload, out):
+        cfg = write_config(tmp_path / f"{task}.json", payload)
+        assert main([task, "--config", cfg, "--out", str(tmp_path / out),
+                     "--seed", "3"]) == 0, task
+        manifest = json.loads((tmp_path / out / "manifest.json").read_text())
+        assert record <= set(manifest), task
+        assert manifest["task"] == task and manifest["seed"] == 3
+        return manifest
+
+    bundle = tmp_path / "bundle"
+    manifest = run("fit", {"dataset": dataset_csv, **FAST_FIT}, "bundle")
+    assert {"kind", "variant", "burnin", "thin"} <= set(manifest)
+    header = json.loads((bundle / "draws_header.json").read_text())
+    assert not {"seed", "burnin", "thin"} & set(header)
+    assert (bundle / "scaler.json").exists()
+    run("predict", {"bundle": str(bundle), "dataset": dataset_csv,
+                    "grid_size": 32}, "pred")
+    run("calibrate", {"bundle": str(bundle), "dataset": dataset_csv,
+                      "folds": 0, "grid_size": 32}, "cal")
+
+    lfi = {"simulator": "blowfly", "series_length": 30, "n_total": 20,
+           "split": 0.8, "score_reps": 20, "data_dir": str(tmp_path / "data"),
+           "fit_dir": str(tmp_path / "fit"),
+           "lfi_fit": {"kernel_sizes": [5, 3], "filter_counts": [3, 2],
+                       "dense_width": 6, "epochs": 2, "batch_size": 16,
+                       "variant": "ridge", "burnin": 10, "draws": 10}}
+    for task, out in (("lfi-simulate", "data"), ("lfi-fit", "fit"),
+                      ("lfi-score", "score")):
+        run(task, lfi, out)
+    param = tmp_path / "fit" / "param_delay"
+    assert (param / "manifest.json").exists()
+    assert not (param / "scaler.json").exists()

@@ -115,7 +115,7 @@ def test_fit_rejects_mismatched_rows():
 
 
 @pytest.mark.parametrize("sizes", [{"draws": 0}, {"thin": 0},
-                                   {"burnin": -1}])
+                                   {"burnin": -1}, {"variant": "lasso"}])
 def test_bad_sampler_sizes_fail_before_training(monkeypatch, sizes):
     import copreg.pipeline as pipeline
 
