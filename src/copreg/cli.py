@@ -123,9 +123,12 @@ def load_config(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
         try:
-            return json.load(fh)
+            cfg = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path} must hold a JSON object")
+    return cfg
 
 
 def _require(cfg, key, task):
@@ -134,17 +137,33 @@ def _require(cfg, key, task):
     return cfg[key]
 
 
-def _options(factory, opts, key):
-    """``factory(**opts)``, with unknown or invalid options a ConfigError."""
+def _number(key, value, low, high=None):
+    """Config value ``value`` of ``key``, checked: an int >= ``low``, or,
+    with ``high`` given, a float strictly between ``low`` and ``high``."""
+    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if high is None:
+        if ok and value >= low and (isinstance(value, int)
+                                    or value.is_integer()):
+            return int(value)
+        raise ConfigError(f"{key!r} must be an integer >= {low}, "
+                          f"got {value!r}")
+    if ok and low < value < high:
+        return float(value)
+    raise ConfigError(f"{key!r} must be a number in ({low:g}, {high:g}), "
+                      f"got {value!r}")
+
+
+def _options(factory, opts, key, **fixed):
+    """``factory(**opts, **fixed)`` (``fixed`` wins), with unknown or
+    invalid options a ConfigError."""
     try:
-        return factory(**opts)
+        return factory(**{**opts, **fixed})
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid {key!r} options: {exc}") from None
 
 
 def _train_cfg(cfg, seed):
-    return _options(TrainConfig, {**cfg.get("train", {}), "seed": seed},
-                    "train")
+    return _options(TrainConfig, cfg.get("train", {}), "train", seed=seed)
 
 
 def _record(cfg, seed, task):
@@ -199,22 +218,23 @@ def cmd_fit(cfg, out_dir, seed):
 
 
 def cmd_predict(cfg, out_dir, seed):
+    grid_size = _number("grid_size", cfg.get("grid_size", 512), 1)
     bundle_dir = _require(cfg, "bundle", "predict")
     fit = CopulaRegression.load(bundle_dir)
     header, table = load_table(_require(cfg, "dataset", "predict"))
     p = fit.network.input_shape[0]
     x = table[:, :p]
     os.makedirs(out_dir, exist_ok=True)
-    export_density_csv(fit.predictive, x, out_dir,
-                       num=int(cfg.get("grid_size", 512)))
+    export_density_csv(fit.predictive, x, out_dir, num=grid_size)
     write_manifest(out_dir, _record(cfg, seed, "predict"))
     return EXIT_OK
 
 
 def cmd_calibrate(cfg, out_dir, seed):
+    folds = _number("folds", cfg.get("folds", 10), 0)
+    grid_size = _number("grid_size", cfg.get("grid_size", 512), 1)
     bundle_dir = _require(cfg, "bundle", "calibrate")
     fit = CopulaRegression.load(bundle_dir)
-    folds = int(cfg.get("folds", 10))
     if folds >= 2:
         if fit.meta.get("task") != "fit" or "config" not in fit.meta:
             raise ConfigError(
@@ -229,7 +249,7 @@ def cmd_calibrate(cfg, out_dir, seed):
     u = predict_cdf_at(pm, x, y)
     p_tilde = probability_calibration(u, P_GRID)
 
-    grid = margin_grid(fit.margin, num=int(cfg.get("grid_size", 512)))
+    grid = margin_grid(fit.margin, num=grid_size)
     avg_density = average_predictive_density(pm, x, grid)
     avg_cdf = average_predictive_cdf(pm, x, grid)
 
@@ -268,8 +288,9 @@ def _sim_model(cfg):
     if cfg.get("prior_file"):
         prior = PriorSpec.load(cfg["prior_file"])
     opts = {}
-    if cfg.get("series_length"):
-        opts["series_length"] = int(cfg["series_length"])
+    if cfg.get("series_length") is not None:
+        opts["series_length"] = _number("series_length",
+                                        cfg["series_length"], 1)
     if name == "blowfly":
         return blowfly_model(prior=prior, **opts)
     if name == "voles":
@@ -289,10 +310,17 @@ def _check_lfi_network(lfi_cfg, series_length):
         raise ConfigError(f"invalid 'lfi_fit' options: {exc}") from None
 
 
+def _score_options(cfg):
+    """The checked ``composite_scores`` options of an ``lfi-score`` config."""
+    return {"train_frac": _number("train_frac", cfg.get("train_frac", 0.8),
+                                  0.0, 1.0),
+            "reps": _number("score_reps", cfg.get("score_reps", 1000), 1)}
+
+
 def cmd_lfi_simulate(cfg, out_dir, seed):
     model = _sim_model(cfg)
-    n_total = int(cfg.get("n_total", 2500))
-    split = float(cfg.get("split", 0.8))
+    n_total = _number("n_total", cfg.get("n_total", 2500), 1)
+    split = _number("split", cfg.get("split", 0.8), 0.0, 1.0)
     train_b, test_b = generate_training(model, n_total, split=split,
                                         seed=seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -321,6 +349,7 @@ def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
 
 def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
     model = _sim_model(cfg)
+    score_opts = _score_options(cfg)
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     fit_dir = fit_dir or cfg.get("fit_dir", out_dir)
     test_b = SimBatch.load_csv(os.path.join(data_dir, "test.csv"),
@@ -351,10 +380,8 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
         prior.rounded(predictive_expectation(models[j], observed[None, :],
                                              func=prior.from_axis)[0])
         for j, prior in enumerate(model.prior.params)])
-    cls, ces = composite_scores(rho_hat, observed, model,
-                                train_frac=float(cfg.get("train_frac", 0.8)),
-                                reps=int(cfg.get("score_reps", 1000)),
-                                rng=rng)
+    cls, ces = composite_scores(rho_hat, observed, model, rng=rng,
+                                **score_opts)
     report = {
         "simulator": model.name,
         "parameters": table,
@@ -371,8 +398,9 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
 
 def cmd_lfi(cfg, out_dir, seed):
     """Full pipeline: simulate, fit every parameter, score."""
-    # reject bad fit options before simulating
+    # reject bad fit and score options before simulating
     _check_lfi_network(_lfi_config(cfg), _sim_model(cfg).series_length)
+    _score_options(cfg)
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
     return cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir,
@@ -416,7 +444,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get("seed")
         if seed is None:
             raise ConfigError("a seed is mandatory (config key or --seed)")
-        return TASKS[args.task](cfg, args.out, int(seed))
+        return TASKS[args.task](cfg, args.out, _number("seed", seed, 0))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

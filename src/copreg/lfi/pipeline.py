@@ -15,7 +15,7 @@ import numpy as np
 
 
 from ..copula import check_sampler
-from ..errors import ConfigError, DataError, SimulationDivergedError
+from ..errors import ConfigError, DataError, DomainError, SimulationDivergedError
 
 from ..nnet import TrainConfig, build_cnn
 
@@ -28,16 +28,24 @@ from ..predict import (
 )
 from .priors import ParamPrior, PriorSpec, default_blowfly_prior, default_voles_prior
 from .simulators import (
+    STATE_CAP,
     BlowflyParams,
     VolesParams,
+    integrate_voles_lockstep,
     simulate_blowfly,
     simulate_blowfly_batch,
     simulate_voles,
+    voles_counts,
+    voles_schedule,
 )
 
 logger = logging.getLogger(__name__)
 
 SIM_NAMES = ("blowfly", "voles")
+
+#: Voles units integrated together by :func:`generate_training`; bounds its
+#: (steps, units) matrix of normal draws.
+VOLES_BLOCK = 256
 
 
 @dataclass
@@ -51,16 +59,23 @@ class SimModel:
     def __post_init__(self):
         if self.name not in SIM_NAMES:
             raise ConfigError(f"unknown simulator {self.name!r}")
+        if int(self.series_length) != self.series_length \
+                or self.series_length < 1:
+            raise ConfigError("series_length must be a positive integer, "
+                              f"got {self.series_length!r}")
 
-    def simulate(self, rho_row, rng, reps=None):
+    def simulate(self, rho_row, rng, reps=None, **opts):
+        """Series at one parameter row; ``opts`` go to the simulator."""
         if self.name == "blowfly":
             params = BlowflyParams.from_array(rho_row)
             if reps is None:
-                return simulate_blowfly(params, self.series_length, rng)
+                return simulate_blowfly(params, self.series_length, rng,
+                                        **opts)
             return simulate_blowfly_batch(params, self.series_length, reps,
-                                          rng)
+                                          rng, **opts)
         params = VolesParams.from_array(rho_row)
-        return simulate_voles(params, self.series_length, rng, reps=reps)
+        return simulate_voles(params, self.series_length, rng, reps=reps,
+                              **opts)
 
 
 def blowfly_model(prior=None, series_length=275) -> SimModel:
@@ -126,29 +141,29 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
                       max_retries=100):
     """(train, test) batches of prior draws and their simulated series.
 
-    Each unit runs on its own seeded substream; a diverged simulation is
-    logged and the unit resampled from the prior.
+    Unit i runs on its own stream, ``default_rng`` of the i-th child of
+    ``SeedSequence(seed)``: it draws rho from the prior, then the
+    simulator's draws.  A diverged simulation is logged and rho resampled
+    on the same stream, at most ``max_retries`` times.  Voles units draw
+    their ``steps`` normals in one call and are integrated together in
+    blocks of :data:`VOLES_BLOCK`; a unit that diverges replays its stream
+    through the per-unit loop, so every unit's output is the same as when
+    simulated alone.
     """
     if not 0.0 < split < 1.0:
         raise ConfigError("split must lie in (0, 1)")
+    if max_retries < 1:
+        raise ConfigError("max_retries must be >= 1")
     children = np.random.SeedSequence(seed).spawn(n_total)
     p = model.prior.dim
     params = np.empty((n_total, p))
     series = np.empty((n_total, model.series_length), dtype=np.int64)
-    for i in range(n_total):
-        rng = np.random.default_rng(children[i])
-        for attempt in range(max_retries):
-            rho = model.prior.sample_matrix(rng, 1)[0]
-            try:
-                series[i] = model.simulate(rho, rng)
-                params[i] = rho
-                break
-            except SimulationDivergedError:
-                logger.warning("simulation diverged (unit %d, attempt %d); "
-                               "resampling", i, attempt)
-        else:
-            raise DataError(f"unit {i}: exceeded {max_retries} resampling "
-                            "attempts")
+    if model.name == "voles":
+        _voles_units(model, children, params, series, max_retries)
+    else:
+        for i in range(n_total):
+            params[i], series[i] = _unit(model, i, np.random.default_rng(
+                children[i]), max_retries)
     n_train = int(round(split * n_total))
     names = tuple(model.prior.names)
     train_b = SimBatch(params[:n_train], series[:n_train], names, seed=seed,
@@ -156,6 +171,65 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     test_b = SimBatch(params[n_train:], series[n_train:], names, seed=seed,
                       prior=model.prior)
     return train_b, test_b
+
+
+def _unit(model, i, rng, max_retries, first_attempt=0, **opts):
+    """Unit i's (rho, series): draw rho, simulate, resample on divergence."""
+    for attempt in range(first_attempt, max_retries):
+        rho = model.prior.sample_matrix(rng, 1)[0]
+        try:
+            return rho, model.simulate(rho, rng, **opts)
+        except SimulationDivergedError:
+            _log_divergence(i, attempt)
+    raise DataError(f"unit {i}: exceeded {max_retries} resampling attempts")
+
+
+def _log_divergence(i, attempt):
+    logger.warning("simulation diverged (unit %d, attempt %d); resampling",
+                   i, attempt)
+
+
+def _voles_units(model, children, params, series, max_retries,
+                 cap=STATE_CAP, block=VOLES_BLOCK):
+    """Fill ``params`` and ``series`` as :func:`_unit` would, unit by unit.
+
+    Each unit draws rho, saves its generator state and draws all its
+    normals at once; a block of units is then integrated in lockstep.  A
+    unit that diverged at step d restores that state, redraws d + 1
+    normals (the draws the per-unit path consumed before it stopped) and
+    continues in :func:`_unit` from its second attempt.
+    """
+    length = model.series_length
+    steps, _ = voles_schedule(length)
+    normals = np.empty((steps, min(block, len(children))))
+    for start in range(0, len(children), block):
+        stop = min(start + block, len(children))
+        rngs, units, states, error = [], [], [], None
+        for i in range(start, stop):
+            rng = np.random.default_rng(children[i])
+            params[i] = model.prior.sample_matrix(rng, 1)[0]
+            try:
+                units.append(VolesParams.from_array(params[i]))
+            except DomainError as exc:  # raised after the units before it
+                error = exc
+                break
+            states.append(rng.bit_generator.state)
+            normals[:, len(rngs)] = rng.standard_normal(steps)
+            rngs.append(rng)
+        prey, diverged = integrate_voles_lockstep(
+            units, length, normals[:, :len(units)], cap=cap)
+        for u, rng in enumerate(rngs):
+            i = start + u
+            if diverged[u] < 0:
+                series[i] = voles_counts(units[u].obs_rate, prey[:, u], rng)
+                continue
+            rng.bit_generator.state = states[u]
+            rng.standard_normal(diverged[u] + 1)
+            _log_divergence(i, 0)
+            params[i], series[i] = _unit(model, i, rng, max_retries,
+                                         first_attempt=1, cap=cap)
+        if error is not None:
+            raise error
 
 
 @dataclass

@@ -9,6 +9,7 @@ observed through Poisson counts twice a year.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -178,18 +179,44 @@ class VolesParams:
              "gen_pred_scale", "attack_rate", "interference", "pred_growth",
              "noise_scale", "obs_rate")
 
+    @property
+    def gen_pred_scale_sq(self):
+        """h squared by Python's float power, which ``np.square`` does not
+        always match to the last bit."""
+        return self.gen_pred_scale ** 2
+
+
+def voles_columns(units):
+    """The fields of n :class:`VolesParams` as (n,) arrays, in the form
+    :func:`voles_drift` reads one parameter value."""
+    fields = VolesParams.names + ("gen_pred_scale_sq",)
+    return SimpleNamespace(**{name: np.array([getattr(u, name) for u in units])
+                              for name in fields})
+
 
 def voles_drift(prey, pred, t, params: VolesParams):
-    """Deterministic part of (dn/dt, dp/dt) at time t (years)."""
+    """Deterministic part of (dn/dt, dp/dt) at time t (years).
+
+    ``params`` is one :class:`VolesParams` or the :func:`voles_columns` of
+    as many units as ``prey`` has entries.
+    """
     season = 1.0 - params.season_amplitude * np.sin(2.0 * np.pi * t)
     dn = (params.prey_growth * season * prey
           - params.prey_growth * prey * prey
           - params.gen_pred_max * prey * prey
-          / (prey * prey + params.gen_pred_scale ** 2)
+          / (prey * prey + params.gen_pred_scale_sq)
           - params.attack_rate * prey * pred / (prey + params.interference))
     dp = (params.pred_growth * season * pred
           - params.pred_growth * pred * pred / prey)
     return dn, dp
+
+
+def _euler_step(prey, pred, t, params, z, dt, floor):
+    """One Euler-Maruyama step; only the prey carries the Brownian term."""
+    dn, dp = voles_drift(prey, pred, t, params)
+    noise = prey * params.noise_scale * np.sqrt(dt) * z
+    return (np.maximum(prey + dn * dt + noise, floor),
+            np.maximum(pred + dp * dt, floor))
 
 
 def integrate_voles(params: VolesParams, years, rng, dt=1e-2,
@@ -206,20 +233,32 @@ def integrate_voles(params: VolesParams, years, rng, dt=1e-2,
     out_n = np.empty((steps + 1, reps))
     out_p = np.empty((steps + 1, reps))
     out_n[0], out_p[0] = prey, pred
-    sqrt_dt = np.sqrt(dt)
     for i in range(steps):
         t = i * dt
-        dn, dp = voles_drift(prey, pred, t, params)
-        noise = (prey * params.noise_scale * sqrt_dt
-                 * rng.standard_normal(reps))
-        prey = np.maximum(prey + dn * dt + noise, floor)
-        pred = np.maximum(pred + dp * dt, floor)
+        prey, pred = _euler_step(prey, pred, t, params,
+                                 rng.standard_normal(reps), dt, floor)
         if np.any(prey > cap) or np.any(pred > cap):
             raise SimulationDivergedError(
                 f"predator-prey state exceeded {cap:g} at t={t:.3f}",
                 params=params)
         out_n[i + 1], out_p[i + 1] = prey, pred
     return out_n, out_p
+
+
+def voles_schedule(length, dt=1e-2, obs_offsets=(0.45, 0.7)):
+    """(Euler steps, step index of each observation) for ``length``
+    observations at years ``k + offsets[0]``, ``k + offsets[1]``, ..."""
+    if length < 1:
+        raise DomainError("series length must be >= 1")
+    years = int(np.ceil(length / len(obs_offsets)))
+    idx = [int(round((k + off) / dt)) for k in range(years)
+           for off in obs_offsets]
+    return int(round(years / dt)), np.asarray(idx[:length])
+
+
+def voles_counts(obs_rate, prey, rng):
+    """Poisson trapping counts with mean ``obs_rate * prey`` (capped)."""
+    return rng.poisson(np.minimum(obs_rate * prey, COUNT_CAP))
 
 
 def simulate_voles(params: VolesParams, length, rng, dt=1e-2,
@@ -231,18 +270,44 @@ def simulate_voles(params: VolesParams, length, rng, dt=1e-2,
     counts are Poisson with mean ``obs_rate * prey``.  With ``reps`` set, a
     (reps, length) matrix of independent series shares one parameter value.
     """
-    if length < 1:
-        raise DomainError("series length must be >= 1")
-    per_year = len(obs_offsets)
-    years = int(np.ceil(length / per_year))
+    steps, idx = voles_schedule(length, dt, obs_offsets)
     n_reps = reps or 1
-    prey_path, _ = integrate_voles(params, years, rng, dt=dt, init=init,
+    prey_path, _ = integrate_voles(params, steps * dt, rng, dt=dt, init=init,
                                    floor=floor, cap=cap, reps=n_reps)
-    idx = []
-    for k in range(years):
-        for off in obs_offsets:
-            idx.append(int(round((k + off) / dt)))
-    idx = np.asarray(idx[:length])
-    means = params.obs_rate * prey_path[idx]         # (length, reps)
-    counts = rng.poisson(np.minimum(means, COUNT_CAP))
+    counts = voles_counts(params.obs_rate, prey_path[idx], rng)
     return counts[:, 0] if reps is None else counts.T.copy()
+
+
+def integrate_voles_lockstep(units, length, normals, dt=1e-2,
+                             obs_offsets=(0.45, 0.7), init=(1.0, 0.1),
+                             floor=STATE_FLOOR, cap=STATE_CAP):
+    """Prey at the observation steps of n units integrated together.
+
+    ``units`` holds n :class:`VolesParams`; column u of the (steps, n)
+    ``normals`` is unit u's Brownian draws.  Each unit takes the path that
+    :func:`integrate_voles` gives it with ``reps=1`` on those draws, bit for
+    bit.  Returns the (length, n) prey at the steps of
+    :func:`voles_schedule` and each unit's first step whose state exceeds
+    ``cap`` (-1 if none).  A diverged unit restarts from ``init`` so that it
+    stays finite; its prey values are meaningless.
+    """
+    steps, idx = voles_schedule(length, dt, obs_offsets)
+    params = voles_columns(units)
+    prey = np.full(len(units), float(init[0]))
+    pred = np.full(len(units), float(init[1]))
+    rows_at = {}
+    for row, step in enumerate(idx):
+        rows_at.setdefault(int(step), []).append(row)
+    obs = np.empty((length, len(units)))
+    obs[rows_at.get(0, [])] = prey
+    diverged = np.full(len(units), -1)
+    for i in range(steps):
+        prey, pred = _euler_step(prey, pred, i * dt, params, normals[i], dt,
+                                 floor)
+        hit = (prey > cap) | (pred > cap)
+        if hit.any():
+            diverged[hit & (diverged < 0)] = i
+            prey[hit], pred[hit] = init
+        if i + 1 in rows_at:
+            obs[rows_at[i + 1]] = prey
+    return obs, diverged

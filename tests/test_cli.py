@@ -336,6 +336,56 @@ def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("task,options", [
+    ("fit", {"train": [1, 2]}),
+    ("fit", {"seed": "one"}),
+    ("fit", {"seed": 2.5}),
+    ("fit", {"seed": -1}),
+    ("predict", {"grid_size": "fine"}),
+    ("predict", {"grid_size": 0}),
+    ("calibrate", {"grid_size": "fine"}),
+    ("calibrate", {"folds": "ten"}),
+    ("calibrate", {"folds": -1}),
+    ("lfi-simulate", {"n_total": "many"}),
+    ("lfi-simulate", {"n_total": -3}),
+    ("lfi-simulate", {"n_total": 0}),
+    ("lfi-simulate", {"n_total": 2.5}),
+    ("lfi-simulate", {"n_total": True}),
+    ("lfi-simulate", {"n_total": float("inf")}),
+    ("lfi-simulate", {"split": "most"}),
+    ("lfi-simulate", {"split": 1.0}),
+    ("lfi-simulate", {"series_length": "long"}),
+    ("lfi-simulate", {"series_length": -2}),
+    ("lfi-simulate", {"series_length": 0}),
+    ("lfi-simulate", {"simulator": "voles", "series_length": 0}),
+    ("lfi-score", {"score_reps": "lots"}),
+    ("lfi-score", {"score_reps": 0}),
+    ("lfi-score", {"train_frac": "most"}),
+    ("lfi-score", {"train_frac": float("nan")}),
+    ("lfi", {"score_reps": "lots"}),
+    ("lfi", {"n_total": 0}),
+])
+def test_bad_config_values_exit_config_without_a_traceback(
+        tmp_path, capsys, task, options):
+    # the config seed is used (no --seed), and no input exists: a config
+    # error must come before any data is read or written
+    payload = {"dataset": str(tmp_path / "missing.csv"),
+               "bundle": str(tmp_path / "no_bundle"), "simulator": "blowfly",
+               "data_dir": str(tmp_path / "no_data"),
+               "fit_dir": str(tmp_path / "no_fit"), "seed": 1, **options}
+    cfg = write_config(tmp_path / "bad.json", payload)
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+def test_config_that_is_not_an_object_exits_config(tmp_path):
+    cfg = write_config(tmp_path / "list.json", [{"seed": 1}])
+    assert main(["fit", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+
 def test_calibrate_rejects_bad_refit_options_before_refitting(
         tmp_path, dataset_csv, monkeypatch):
     import copreg.cli as cli
