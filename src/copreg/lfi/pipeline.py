@@ -28,7 +28,6 @@ from ..predict import (
 )
 from .priors import ParamPrior, PriorSpec, default_blowfly_prior, default_voles_prior
 from .simulators import (
-    STATE_CAP,
     BlowflyParams,
     VolesParams,
     integrate_voles_lockstep,
@@ -59,23 +58,17 @@ class SimModel:
     def __post_init__(self):
         if self.name not in SIM_NAMES:
             raise ConfigError(f"unknown simulator {self.name!r}")
-        if int(self.series_length) != self.series_length \
-                or self.series_length < 1:
-            raise ConfigError("series_length must be a positive integer, "
-                              f"got {self.series_length!r}")
 
-    def simulate(self, rho_row, rng, reps=None, **opts):
-        """Series at one parameter row; ``opts`` go to the simulator."""
+    def simulate(self, rho_row, rng, reps=None):
+        """Series at one parameter row."""
         if self.name == "blowfly":
             params = BlowflyParams.from_array(rho_row)
             if reps is None:
-                return simulate_blowfly(params, self.series_length, rng,
-                                        **opts)
+                return simulate_blowfly(params, self.series_length, rng)
             return simulate_blowfly_batch(params, self.series_length, reps,
-                                          rng, **opts)
+                                          rng)
         params = VolesParams.from_array(rho_row)
-        return simulate_voles(params, self.series_length, rng, reps=reps,
-                              **opts)
+        return simulate_voles(params, self.series_length, rng, reps=reps)
 
 
 def blowfly_model(prior=None, series_length=275) -> SimModel:
@@ -173,12 +166,12 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     return train_b, test_b
 
 
-def _unit(model, i, rng, max_retries, first_attempt=0, **opts):
+def _unit(model, i, rng, max_retries, first_attempt=0):
     """Unit i's (rho, series): draw rho, simulate, resample on divergence."""
     for attempt in range(first_attempt, max_retries):
         rho = model.prior.sample_matrix(rng, 1)[0]
         try:
-            return rho, model.simulate(rho, rng, **opts)
+            return rho, model.simulate(rho, rng)
         except SimulationDivergedError:
             _log_divergence(i, attempt)
     raise DataError(f"unit {i}: exceeded {max_retries} resampling attempts")
@@ -189,8 +182,7 @@ def _log_divergence(i, attempt):
                    i, attempt)
 
 
-def _voles_units(model, children, params, series, max_retries,
-                 cap=STATE_CAP, block=VOLES_BLOCK):
+def _voles_units(model, children, params, series, max_retries):
     """Fill ``params`` and ``series`` as :func:`_unit` would, unit by unit.
 
     Each unit draws rho, saves its generator state and draws all its
@@ -199,11 +191,10 @@ def _voles_units(model, children, params, series, max_retries,
     normals (the draws the per-unit path consumed before it stopped) and
     continues in :func:`_unit` from its second attempt.
     """
-    length = model.series_length
-    steps, _ = voles_schedule(length)
-    normals = np.empty((steps, min(block, len(children))))
-    for start in range(0, len(children), block):
-        stop = min(start + block, len(children))
+    _, steps, obs_steps = voles_schedule(model.series_length)
+    normals = np.empty((steps, min(VOLES_BLOCK, len(children))))
+    for start in range(0, len(children), VOLES_BLOCK):
+        stop = min(start + VOLES_BLOCK, len(children))
         rngs, units, states, error = [], [], [], None
         for i in range(start, stop):
             rng = np.random.default_rng(children[i])
@@ -216,8 +207,8 @@ def _voles_units(model, children, params, series, max_retries,
             states.append(rng.bit_generator.state)
             normals[:, len(rngs)] = rng.standard_normal(steps)
             rngs.append(rng)
-        prey, diverged = integrate_voles_lockstep(
-            units, length, normals[:, :len(units)], cap=cap)
+        prey, diverged = integrate_voles_lockstep(units, obs_steps,
+                                                  normals[:, :len(units)])
         for u, rng in enumerate(rngs):
             i = start + u
             if diverged[u] < 0:
@@ -227,7 +218,7 @@ def _voles_units(model, children, params, series, max_retries,
             rng.standard_normal(diverged[u] + 1)
             _log_divergence(i, 0)
             params[i], series[i] = _unit(model, i, rng, max_retries,
-                                         first_attempt=1, cap=cap)
+                                         first_attempt=1)
         if error is not None:
             raise error
 

@@ -24,6 +24,11 @@ STATE_FLOOR = 1e-6
 #: State cap for the predator-prey integrator.
 STATE_CAP = 1e6
 
+#: Euler-Maruyama step (years) and (prey, predator) start of the
+#: predator-prey integrator.
+VOLES_DT = 1e-2
+VOLES_INIT = (1.0, 0.1)
+
 
 @dataclass(frozen=True)
 class BlowflyParams:
@@ -219,8 +224,8 @@ def _euler_step(prey, pred, t, params, z, dt, floor):
             np.maximum(pred + dp * dt, floor))
 
 
-def integrate_voles(params: VolesParams, years, rng, dt=1e-2,
-                    init=(1.0, 0.1), floor=STATE_FLOOR, cap=STATE_CAP,
+def integrate_voles(params: VolesParams, years, rng, dt=VOLES_DT,
+                    init=VOLES_INIT, floor=STATE_FLOOR, cap=STATE_CAP,
                     reps=1):
     """Euler-Maruyama path of (prey, predator); shapes (steps+1, reps).
 
@@ -245,15 +250,16 @@ def integrate_voles(params: VolesParams, years, rng, dt=1e-2,
     return out_n, out_p
 
 
-def voles_schedule(length, dt=1e-2, obs_offsets=(0.45, 0.7)):
-    """(Euler steps, step index of each observation) for ``length``
-    observations at years ``k + offsets[0]``, ``k + offsets[1]``, ..."""
+def voles_schedule(length, dt=VOLES_DT, obs_offsets=(0.45, 0.7)):
+    """(whole years simulated, their Euler steps, step index of each
+    observation) for ``length`` observations at years ``k + offsets[0]``,
+    ``k + offsets[1]``, ..."""
     if length < 1:
         raise DomainError("series length must be >= 1")
     years = int(np.ceil(length / len(obs_offsets)))
     idx = [int(round((k + off) / dt)) for k in range(years)
            for off in obs_offsets]
-    return int(round(years / dt)), np.asarray(idx[:length])
+    return years, int(round(years / dt)), np.asarray(idx[:length])
 
 
 def voles_counts(obs_rate, prey, rng):
@@ -261,8 +267,8 @@ def voles_counts(obs_rate, prey, rng):
     return rng.poisson(np.minimum(obs_rate * prey, COUNT_CAP))
 
 
-def simulate_voles(params: VolesParams, length, rng, dt=1e-2,
-                   obs_offsets=(0.45, 0.7), init=(1.0, 0.1),
+def simulate_voles(params: VolesParams, length, rng, dt=VOLES_DT,
+                   obs_offsets=(0.45, 0.7), init=VOLES_INIT,
                    floor=STATE_FLOOR, cap=STATE_CAP, reps=None):
     """Integer trapping counts at two observation times per year.
 
@@ -270,44 +276,42 @@ def simulate_voles(params: VolesParams, length, rng, dt=1e-2,
     counts are Poisson with mean ``obs_rate * prey``.  With ``reps`` set, a
     (reps, length) matrix of independent series shares one parameter value.
     """
-    steps, idx = voles_schedule(length, dt, obs_offsets)
+    years, _, idx = voles_schedule(length, dt, obs_offsets)
     n_reps = reps or 1
-    prey_path, _ = integrate_voles(params, steps * dt, rng, dt=dt, init=init,
+    prey_path, _ = integrate_voles(params, years, rng, dt=dt, init=init,
                                    floor=floor, cap=cap, reps=n_reps)
     counts = voles_counts(params.obs_rate, prey_path[idx], rng)
     return counts[:, 0] if reps is None else counts.T.copy()
 
 
-def integrate_voles_lockstep(units, length, normals, dt=1e-2,
-                             obs_offsets=(0.45, 0.7), init=(1.0, 0.1),
-                             floor=STATE_FLOOR, cap=STATE_CAP):
+def integrate_voles_lockstep(units, obs_steps, normals):
     """Prey at the observation steps of n units integrated together.
 
     ``units`` holds n :class:`VolesParams`; column u of the (steps, n)
-    ``normals`` is unit u's Brownian draws.  Each unit takes the path that
+    ``normals`` is unit u's Brownian draws, and ``obs_steps`` are the step
+    indices of :func:`voles_schedule`.  Each unit takes the path that
     :func:`integrate_voles` gives it with ``reps=1`` on those draws, bit for
-    bit.  Returns the (length, n) prey at the steps of
-    :func:`voles_schedule` and each unit's first step whose state exceeds
-    ``cap`` (-1 if none).  A diverged unit restarts from ``init`` so that it
-    stays finite; its prey values are meaningless.
+    bit.  Returns the (len(obs_steps), n) prey at ``obs_steps`` and each
+    unit's first step whose state exceeds :data:`STATE_CAP` (-1 if none).
+    A diverged unit restarts from :data:`VOLES_INIT` so that it stays
+    finite; its prey values are meaningless.
     """
-    steps, idx = voles_schedule(length, dt, obs_offsets)
     params = voles_columns(units)
-    prey = np.full(len(units), float(init[0]))
-    pred = np.full(len(units), float(init[1]))
+    prey = np.full(len(units), VOLES_INIT[0])
+    pred = np.full(len(units), VOLES_INIT[1])
     rows_at = {}
-    for row, step in enumerate(idx):
+    for row, step in enumerate(obs_steps):
         rows_at.setdefault(int(step), []).append(row)
-    obs = np.empty((length, len(units)))
+    obs = np.empty((len(obs_steps), len(units)))
     obs[rows_at.get(0, [])] = prey
     diverged = np.full(len(units), -1)
-    for i in range(steps):
-        prey, pred = _euler_step(prey, pred, i * dt, params, normals[i], dt,
-                                 floor)
-        hit = (prey > cap) | (pred > cap)
+    for i in range(normals.shape[0]):
+        prey, pred = _euler_step(prey, pred, i * VOLES_DT, params, normals[i],
+                                 VOLES_DT, STATE_FLOOR)
+        hit = (prey > STATE_CAP) | (pred > STATE_CAP)
         if hit.any():
             diverged[hit & (diverged < 0)] = i
-            prey[hit], pred[hit] = init
+            prey[hit], pred[hit] = VOLES_INIT
         if i + 1 in rows_at:
             obs[rows_at[i + 1]] = prey
     return obs, diverged

@@ -24,15 +24,13 @@ from copreg.errors import (
 from copreg.lfi import blowfly_model, generate_training, voles_model
 from copreg.lfi import pipeline
 from copreg.lfi.priors import ParamPrior, PriorSpec, default_voles_prior
-from copreg.lfi.simulators import STATE_CAP
 
 LOGGER = "copreg.lfi.pipeline"
 
 # -- reference: the per-unit loop ----------------------------------------------------
 
 
-def reference_generate_training(model, n_total, seed=0, max_retries=100,
-                                **opts):
+def reference_generate_training(model, n_total, seed=0, max_retries=100):
     children = np.random.SeedSequence(seed).spawn(n_total)
     params = np.empty((n_total, model.prior.dim))
     series = np.empty((n_total, model.series_length), dtype=np.int64)
@@ -41,7 +39,7 @@ def reference_generate_training(model, n_total, seed=0, max_retries=100,
         for attempt in range(max_retries):
             rho = model.prior.sample_matrix(rng, 1)[0]
             try:
-                series[i] = model.simulate(rho, rng, **opts)
+                series[i] = model.simulate(rho, rng)
                 params[i] = rho
                 break
             except SimulationDivergedError:
@@ -54,27 +52,29 @@ def reference_generate_training(model, n_total, seed=0, max_retries=100,
     return params, series
 
 
-def lockstep(model, n_total, seed=0, max_retries=100, cap=STATE_CAP,
-             block=pipeline.VOLES_BLOCK):
-    """``generate_training``'s voles units with a chosen cap and block."""
-    children = np.random.SeedSequence(seed).spawn(n_total)
-    params = np.empty((n_total, model.prior.dim))
-    series = np.empty((n_total, model.series_length), dtype=np.int64)
-    pipeline._voles_units(model, children, params, series, max_retries,
-                          cap=cap, block=block)
-    return params, series
-
-
 @functools.lru_cache(maxsize=None)
 def reference_voles(n_total, length, seed):
     return reference_generate_training(voles_model(series_length=length),
                                        n_total, seed=seed)
 
 
-def joined(batches):
-    train, test = batches
+def units(model, n_total, seed=0, max_retries=100):
+    """``generate_training``'s (params, series), train and test rejoined."""
+    train, test = generate_training(model, n_total, split=0.75, seed=seed,
+                                    max_retries=max_retries)
     return (np.vstack([train.params, test.params]),
             np.vstack([train.series, test.series]))
+
+
+def noisy_voles(series_length=16, **replace):
+    """Voles whose noise-scale prior, lognormal(8, 4), makes about half
+    the first attempts exceed the state cap, at steps spread over the path;
+    ``replace`` swaps in further priors by name."""
+    params = default_voles_prior().params
+    replace.setdefault("noise_scale",
+                       ParamPrior("noise_scale", "lognormal", 8.0, 4.0))
+    params = [replace.get(p.name, p) for p in params]
+    return voles_model(prior=PriorSpec(params), series_length=series_length)
 
 
 def outcome(run, caplog):
@@ -94,25 +94,25 @@ def outcome(run, caplog):
 @pytest.mark.parametrize("n_total,length,seed",
                          [(16, 32, 1), (16, 32, 84), (40, 90, 3)])
 def test_voles_units_equal_the_per_unit_loop(n_total, length, seed):
-    params, series = joined(generate_training(
-        voles_model(series_length=length), n_total, split=0.75, seed=seed))
+    params, series = units(voles_model(series_length=length), n_total,
+                           seed=seed)
     ref_params, ref_series = reference_voles(n_total, length, seed)
     assert series.dtype == ref_series.dtype
     assert np.array_equal(params, ref_params)
     assert np.array_equal(series, ref_series)
 
 
-def test_voles_units_do_not_depend_on_the_block_size():
+def test_voles_units_do_not_depend_on_the_block_size(monkeypatch):
+    monkeypatch.setattr(pipeline, "VOLES_BLOCK", 7)
     ref_params, ref_series = reference_voles(40, 90, 3)
-    params, series = lockstep(voles_model(series_length=90), 40, seed=3,
-                              block=7)
+    params, series = units(voles_model(series_length=90), 40, seed=3)
     assert np.array_equal(params, ref_params)
     assert np.array_equal(series, ref_series)
 
 
 def test_blowfly_units_equal_the_per_unit_loop():
     model = blowfly_model(series_length=50)
-    params, series = joined(generate_training(model, 20, split=0.8, seed=2))
+    params, series = units(model, 20, seed=2)
     ref_params, ref_series = reference_generate_training(model, 20, seed=2)
     assert np.array_equal(params, ref_params)
     assert np.array_equal(series, ref_series)
@@ -122,16 +122,17 @@ def test_blowfly_units_equal_the_per_unit_loop():
 
 
 @pytest.mark.parametrize("max_retries", [100, 3])
-def test_diverged_units_replay_their_stream(caplog, max_retries):
-    """A cap of 1.5 makes 14 of 24 first attempts diverge at seed 11; with
-    three attempts a unit runs out of them."""
-    model = voles_model(series_length=16)
+def test_diverged_units_replay_their_stream(caplog, monkeypatch,
+                                            max_retries):
+    """About half the first attempts diverge; with three attempts unit 12
+    runs out of them."""
+    monkeypatch.setattr(pipeline, "VOLES_BLOCK", 5)
+    model = noisy_voles()
     got, got_warnings = outcome(
-        lambda: lockstep(model, 24, seed=11, max_retries=max_retries,
-                         cap=1.5, block=5), caplog)
+        lambda: units(model, 24, seed=2, max_retries=max_retries), caplog)
     want, want_warnings = outcome(
-        lambda: reference_generate_training(model, 24, seed=11,
-                                            max_retries=max_retries, cap=1.5),
+        lambda: reference_generate_training(model, 24, seed=2,
+                                            max_retries=max_retries),
         caplog)
     assert len(want_warnings) >= 10
     assert got_warnings == want_warnings
@@ -143,18 +144,17 @@ def test_diverged_units_replay_their_stream(caplog, max_retries):
         assert np.array_equal(got[1], want[1])
 
 
-def test_out_of_domain_draw_raises_after_the_units_before_it(caplog):
+def test_out_of_domain_draw_raises_after_the_units_before_it(caplog,
+                                                             monkeypatch):
     """A season amplitude whose logit draw rounds to 1.0 fails the domain
     check, after the warnings of every earlier unit, as in the per-unit
     loop."""
-    prior = default_voles_prior()
-    prior.params[1] = ParamPrior("season_amplitude", "logitnormal", 35.0,
-                                 1.0)
-    model = voles_model(prior=PriorSpec(prior.params), series_length=16)
-    got = outcome(lambda: lockstep(model, 24, seed=11, cap=1.5, block=5),
-                  caplog)
-    want = outcome(lambda: reference_generate_training(model, 24, seed=11,
-                                                       cap=1.5), caplog)
+    monkeypatch.setattr(pipeline, "VOLES_BLOCK", 5)
+    model = noisy_voles(season_amplitude=ParamPrior(
+        "season_amplitude", "logitnormal", 35.0, 1.0))
+    got = outcome(lambda: units(model, 24, seed=3), caplog)
+    want = outcome(lambda: reference_generate_training(model, 24, seed=3),
+                   caplog)
     assert got == want
     assert got[0][0] is DomainError
     assert got[1]
@@ -165,16 +165,10 @@ def test_generate_training_rejects_no_attempts():
         generate_training(voles_model(series_length=16), 4, max_retries=0)
 
 
-@pytest.mark.parametrize("length", [0, -2, 2.5])
-def test_sim_model_rejects_a_bad_series_length(length):
-    with pytest.raises(ConfigError):
-        voles_model(series_length=length)
-
-
 # -- memory ------------------------------------------------------------------------
 
 
-def test_voles_units_stay_in_memory_bounded_by_the_block():
+def test_voles_units_stay_in_memory_bounded_by_the_block(monkeypatch):
     """2000 length-32 units (1600 steps each): one block of normal draws is
     1600 x 256 x 8 B = 3.3 MB and the run peaks near 5 MB; all units at
     once would draw 25.6 MB."""
@@ -182,12 +176,13 @@ def test_voles_units_stay_in_memory_bounded_by_the_block():
     bound = 8 * 2**20
 
     def peak(block):
+        monkeypatch.setattr(pipeline, "VOLES_BLOCK", block)
         tracemalloc.start()
         try:
-            lockstep(model, 2000, seed=0, block=block)
+            generate_training(model, 2000, seed=0)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    assert peak(pipeline.VOLES_BLOCK) < bound
+    assert peak(256) < bound
     assert peak(2000) > bound
