@@ -15,8 +15,8 @@ from copreg.lfi import (
     blowfly_model,
     composite_scores,
     eval_simulation,
+    fit_all_parameters,
     generate_training,
-    lfi_fit,
     marginal_calibration_distance,
 )
 from copreg.predict import predictive_expectation
@@ -32,11 +32,8 @@ print(f"simulated {train_b.n} training and {test_b.n} test series")
 cfg = LfiFitConfig(kernel_sizes=(15, 7), filter_counts=(12, 5),
                    dense_width=40, epochs=30, variant="horseshoe",
                    burnin=300, draws=300)
-models = []
-for j, name in enumerate(model.prior.names):
-    pm = lfi_fit(train_b, j, config=cfg, seed=SEED * 7919 + j)
-    models.append(pm)
-    print(f"  fitted regressor for {name}")
+models = fit_all_parameters(train_b, config=cfg, seed=SEED)
+print(f"fitted {len(models)} regressors, one per parameter")
 
 table = eval_simulation(models, test_b)
 prior_ref = model.prior.sample_matrix(np.random.default_rng(99), 20_000)

@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     SimulationDivergedError,
+    checked_int,
 )
 from .lfi import (
     LfiFitConfig,
@@ -49,6 +50,7 @@ from .lfi import (
     marginal_calibration_distance,
     voles_model,
 )
+from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
 from .nnet import TrainConfig, build_ffn
 from .pipeline import (
@@ -137,20 +139,12 @@ def _require(cfg, key, task):
     return cfg[key]
 
 
-def _number(key, value, low, high=None):
-    """Config value ``value`` of ``key``, checked: an int >= ``low``, or,
-    with ``high`` given, a float strictly between ``low`` and ``high``."""
-    ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if high is None:
-        if ok and value >= low and (isinstance(value, int)
-                                    or value.is_integer()):
-            return int(value)
-        raise ConfigError(f"{key!r} must be an integer >= {low}, "
-                          f"got {value!r}")
-    if ok and low < value < high:
+def _fraction(key, value):
+    """Config value ``value`` of ``key`` as a float strictly between 0 and 1."""
+    if (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and 0.0 < value < 1.0):
         return float(value)
-    raise ConfigError(f"{key!r} must be a number in ({low:g}, {high:g}), "
-                      f"got {value!r}")
+    raise ConfigError(f"{key!r} must be a number in (0, 1), got {value!r}")
 
 
 def _options(factory, opts, key, **fixed):
@@ -160,10 +154,6 @@ def _options(factory, opts, key, **fixed):
         return factory(**{**opts, **fixed})
     except (TypeError, ValueError, DomainError) as exc:
         raise ConfigError(f"invalid {key!r} options: {exc}") from None
-
-
-def _train_cfg(cfg, seed):
-    return _options(TrainConfig, cfg.get("train", {}), "train", seed=seed)
 
 
 def _record(cfg, seed, task):
@@ -176,16 +166,15 @@ def _record(cfg, seed, task):
 
 
 def _network_options(width=64, dropout=0.5):
-    opts = {"width": int(width), "dropout_rate": float(dropout)}
-    if opts["width"] < 1:
-        raise ValueError("width must be >= 1")
+    opts = {"width": checked_int("width", width, 1), "dropout_rate": dropout}
     build_ffn(1, **opts)  # a bad dropout rate fails here
     return opts
 
 
 def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
-    opts = {"variant": variant, "burnin": int(burnin), "draws": int(draws),
-            "thin": int(thin)}
+    opts = {"variant": variant, "burnin": checked_int("burnin", burnin, 0),
+            "draws": checked_int("draws", draws, 1),
+            "thin": checked_int("thin", thin, 1)}
     check_sampler(**opts)
     return opts
 
@@ -193,7 +182,7 @@ def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
 def _tabular_options(cfg, seed):
     """The checked network, training and sampler options of a ``fit`` config."""
     return (_options(_network_options, cfg.get("network", {}), "network"),
-            _train_cfg(cfg, seed),
+            _options(TrainConfig, cfg.get("train", {}), "train", seed=seed),
             _options(_mcmc_options, cfg.get("mcmc", {}), "mcmc"))
 
 
@@ -218,7 +207,7 @@ def cmd_fit(cfg, out_dir, seed):
 
 
 def cmd_predict(cfg, out_dir, seed):
-    grid_size = _number("grid_size", cfg.get("grid_size", 512), 1)
+    grid_size = checked_int("grid_size", cfg.get("grid_size", 512), 1)
     bundle_dir = _require(cfg, "bundle", "predict")
     fit = CopulaRegression.load(bundle_dir)
     header, table = load_table(_require(cfg, "dataset", "predict"))
@@ -231,8 +220,8 @@ def cmd_predict(cfg, out_dir, seed):
 
 
 def cmd_calibrate(cfg, out_dir, seed):
-    folds = _number("folds", cfg.get("folds", 10), 0)
-    grid_size = _number("grid_size", cfg.get("grid_size", 512), 1)
+    folds = checked_int("folds", cfg.get("folds", 10), 0)
+    grid_size = checked_int("grid_size", cfg.get("grid_size", 512), 1)
     bundle_dir = _require(cfg, "bundle", "calibrate")
     fit = CopulaRegression.load(bundle_dir)
     if folds >= 2:
@@ -289,8 +278,8 @@ def _sim_model(cfg):
         prior = PriorSpec.load(cfg["prior_file"])
     opts = {}
     if cfg.get("series_length") is not None:
-        opts["series_length"] = _number("series_length",
-                                        cfg["series_length"], 1)
+        opts["series_length"] = checked_int("series_length",
+                                            cfg["series_length"], 1)
     if name == "blowfly":
         return blowfly_model(prior=prior, **opts)
     if name == "voles":
@@ -312,15 +301,14 @@ def _check_lfi_network(lfi_cfg, series_length):
 
 def _score_options(cfg):
     """The checked ``composite_scores`` options of an ``lfi-score`` config."""
-    return {"train_frac": _number("train_frac", cfg.get("train_frac", 0.8),
-                                  0.0, 1.0),
-            "reps": _number("score_reps", cfg.get("score_reps", 1000), 1)}
+    return {"train_frac": _fraction("train_frac", cfg.get("train_frac", 0.8)),
+            "reps": checked_int("score_reps", cfg.get("score_reps", 1000), 1)}
 
 
 def cmd_lfi_simulate(cfg, out_dir, seed):
     model = _sim_model(cfg)
-    n_total = _number("n_total", cfg.get("n_total", 2500), 1)
-    split = _number("split", cfg.get("split", 0.8), 0.0, 1.0)
+    n_total = checked_int("n_total", cfg.get("n_total", 2500), 1)
+    split = _fraction("split", cfg.get("split", 0.8))
     train_b, test_b = generate_training(model, n_total, split=split,
                                         seed=seed)
     os.makedirs(out_dir, exist_ok=True)
@@ -340,7 +328,7 @@ def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     _check_lfi_network(lfi_cfg, train_b.series_length)
     os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(model.prior.names):
-        bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=seed * 7919 + j,
+        bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=param_seed(seed, j),
                          return_bundle=True)
         bundle.save(os.path.join(out_dir, f"param_{name}"))
     write_manifest(out_dir, _record(cfg, seed, "lfi-fit"))
@@ -444,7 +432,7 @@ def main(argv=None) -> int:
         seed = args.seed if args.seed is not None else cfg.get("seed")
         if seed is None:
             raise ConfigError("a seed is mandatory (config key or --seed)")
-        return TASKS[args.task](cfg, args.out, _number("seed", seed, 0))
+        return TASKS[args.task](cfg, args.out, checked_int("seed", seed, 0))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

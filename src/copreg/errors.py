@@ -1,5 +1,7 @@
 """Semantic exception hierarchy shared across the package."""
 
+import numbers
+
 
 class CopregError(Exception):
     """Base class for all library errors."""
@@ -33,9 +35,22 @@ class SimulationDivergedError(CopregError):
         self.params = params
 
 
-class ConfigError(CopregError):
-    """Invalid experiment configuration."""
+class ConfigError(CopregError, ValueError):
+    """Invalid experiment configuration (a ValueError to library callers)."""
 
 
 class DataError(CopregError):
     """Malformed or missing input data."""
+
+
+def checked_int(name, value, low):
+    """``value`` of option ``name`` as an int; ConfigError unless it is a
+    whole number >= ``low``.  Integral floats such as 3.0 pass; bools,
+    strings, fractions, inf and nan do not."""
+    whole = (isinstance(value, numbers.Integral)
+             and not isinstance(value, bool)) or (
+        isinstance(value, float) and value.is_integer())
+    if not whole or value < low:
+        raise ConfigError(f"{name!r} must be an integer >= {low}, "
+                          f"got {value!r}")
+    return int(value)

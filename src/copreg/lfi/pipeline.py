@@ -15,7 +15,13 @@ import numpy as np
 
 
 from ..copula import check_sampler
-from ..errors import ConfigError, DataError, DomainError, SimulationDivergedError
+from ..errors import (
+    ConfigError,
+    DataError,
+    DomainError,
+    SimulationDivergedError,
+    checked_int,
+)
 
 from ..nnet import TrainConfig, build_cnn
 
@@ -137,10 +143,9 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     Unit i runs on its own stream, ``default_rng`` of the i-th child of
     ``SeedSequence(seed)``: it draws rho from the prior, then the
     simulator's draws.  A diverged simulation is logged and rho resampled
-    on the same stream, at most ``max_retries`` times.  Voles units draw
-    their ``steps`` normals in one call and are integrated together in
-    blocks of :data:`VOLES_BLOCK`; a unit that diverges replays its stream
-    through the per-unit loop, so every unit's output is the same as when
+    on the same stream, at most ``max_retries`` times.  Voles units are
+    integrated together in blocks of :data:`VOLES_BLOCK` (see
+    :func:`_voles_units`), with every unit's output the same as when
     simulated alone.
     """
     if not 0.0 < split < 1.0:
@@ -166,36 +171,31 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     return train_b, test_b
 
 
-def _unit(model, i, rng, max_retries, first_attempt=0):
+def _unit(model, i, rng, max_retries):
     """Unit i's (rho, series): draw rho, simulate, resample on divergence."""
-    for attempt in range(first_attempt, max_retries):
+    for attempt in range(max_retries):
         rho = model.prior.sample_matrix(rng, 1)[0]
         try:
             return rho, model.simulate(rho, rng)
         except SimulationDivergedError:
-            _log_divergence(i, attempt)
+            logger.warning("simulation diverged (unit %d, attempt %d); "
+                           "resampling", i, attempt)
     raise DataError(f"unit {i}: exceeded {max_retries} resampling attempts")
-
-
-def _log_divergence(i, attempt):
-    logger.warning("simulation diverged (unit %d, attempt %d); resampling",
-                   i, attempt)
 
 
 def _voles_units(model, children, params, series, max_retries):
     """Fill ``params`` and ``series`` as :func:`_unit` would, unit by unit.
 
-    Each unit draws rho, saves its generator state and draws all its
-    normals at once; a block of units is then integrated in lockstep.  A
-    unit that diverged at step d restores that state, redraws d + 1
-    normals (the draws the per-unit path consumed before it stopped) and
-    continues in :func:`_unit` from its second attempt.
+    Each unit draws rho, then all its normals in one call, which is the
+    stream :func:`~.simulators.simulate_voles` draws; a block of units is
+    then integrated in lockstep and each unit draws its counts.  A unit
+    that diverged reruns :func:`_unit` from the start of its own stream.
     """
-    _, steps, obs_steps = voles_schedule(model.series_length)
+    steps, obs_steps = voles_schedule(model.series_length)
     normals = np.empty((steps, min(VOLES_BLOCK, len(children))))
     for start in range(0, len(children), VOLES_BLOCK):
         stop = min(start + VOLES_BLOCK, len(children))
-        rngs, units, states, error = [], [], [], None
+        rngs, units, error = [], [], None
         for i in range(start, stop):
             rng = np.random.default_rng(children[i])
             params[i] = model.prior.sample_matrix(rng, 1)[0]
@@ -204,21 +204,17 @@ def _voles_units(model, children, params, series, max_retries):
             except DomainError as exc:  # raised after the units before it
                 error = exc
                 break
-            states.append(rng.bit_generator.state)
             normals[:, len(rngs)] = rng.standard_normal(steps)
             rngs.append(rng)
-        prey, diverged = integrate_voles_lockstep(units, obs_steps,
-                                                  normals[:, :len(units)])
+        prey, _, diverged = integrate_voles_lockstep(
+            units, normals[:, :len(units)], obs_steps)
         for u, rng in enumerate(rngs):
             i = start + u
             if diverged[u] < 0:
                 series[i] = voles_counts(units[u].obs_rate, prey[:, u], rng)
-                continue
-            rng.bit_generator.state = states[u]
-            rng.standard_normal(diverged[u] + 1)
-            _log_divergence(i, 0)
-            params[i], series[i] = _unit(model, i, rng, max_retries,
-                                         first_attempt=1)
+            else:
+                params[i], series[i] = _unit(model, i, np.random.default_rng(
+                    children[i]), max_retries)
         if error is not None:
             raise error
 
@@ -244,11 +240,12 @@ class LfiFitConfig:
         self.kernel_sizes = _positive_pair("kernel_sizes", self.kernel_sizes)
         self.filter_counts = _positive_pair("filter_counts",
                                             self.filter_counts)
-        self.dense_width = _positive_int("dense_width", self.dense_width)
+        self.dense_width = checked_int("dense_width", self.dense_width, 1)
         if not self.l2 >= 0:
             raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
-        self.burnin, self.draws, self.thin = (int(self.burnin),
-                                              int(self.draws), int(self.thin))
+        self.burnin = checked_int("burnin", self.burnin, 0)
+        self.draws = checked_int("draws", self.draws, 1)
+        self.thin = checked_int("thin", self.thin, 1)
         check_sampler(self.variant, self.burnin, self.draws, self.thin)
 
     def train_config(self, seed) -> TrainConfig:
@@ -262,17 +259,11 @@ class LfiFitConfig:
                          dense_width=self.dense_width, l2=self.l2, seed=seed)
 
 
-def _positive_int(name, value):
-    if int(value) != value or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _positive_pair(name, values):
     values = tuple(values)
     if len(values) != 2:
         raise ValueError(f"{name} needs two entries, got {list(values)}")
-    return tuple(_positive_int(name, v) for v in values)
+    return tuple(checked_int(name, v, 1) for v in values)
 
 
 def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
@@ -300,10 +291,15 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
     return fit if return_bundle else fit.predictive
 
 
+def param_seed(seed, j):
+    """The :func:`lfi_fit` seed of parameter j in a run seeded ``seed``."""
+    return seed * 7919 + j
+
+
 def fit_all_parameters(train_batch: SimBatch, config: LfiFitConfig = None,
                        seed=0):
     """One regressor per parameter; returns them in parameter order."""
-    return [lfi_fit(train_batch, j, config=config, seed=seed * 7919 + j)
+    return [lfi_fit(train_batch, j, config=config, seed=param_seed(seed, j))
             for j in range(train_batch.params.shape[1])]
 
 

@@ -24,10 +24,16 @@ STATE_FLOOR = 1e-6
 #: State cap for the predator-prey integrator.
 STATE_CAP = 1e6
 
-#: Euler-Maruyama step (years) and (prey, predator) start of the
-#: predator-prey integrator.
+#: Euler-Maruyama step (years), (prey, predator) start and yearly
+#: observation times (fractions of a year) of the predator-prey simulator.
 VOLES_DT = 1e-2
 VOLES_INIT = (1.0, 0.1)
+VOLES_OBS_OFFSETS = (0.45, 0.7)
+
+#: Blowfly history: the flat adult count of its first ``delay`` steps, and
+#: the generated steps discarded before the series starts.
+BLOWFLY_INIT_ADULTS = 180
+BLOWFLY_BURNIN = 50
 
 
 @dataclass(frozen=True)
@@ -82,20 +88,20 @@ def blowfly_step(n_prev, n_lag, params: BlowflyParams, rng, cap=COUNT_CAP):
     return recruits, survivors, capped
 
 
-def simulate_blowfly(params: BlowflyParams, length, rng, init_adults=180,
-                     burnin=50, cap=COUNT_CAP, return_diagnostics=False):
+def simulate_blowfly(params: BlowflyParams, length, rng, cap=COUNT_CAP,
+                     return_diagnostics=False):
     """Integer population series of the given length.
 
-    History starts flat at ``init_adults`` for the first ``delay`` steps and
-    the first ``burnin`` generated steps are discarded.  Counts and Poisson
-    means are capped at ``cap`` with a diagnostic flag.
+    History starts flat at BLOWFLY_INIT_ADULTS for the first ``delay`` steps
+    and the first BLOWFLY_BURNIN generated steps are discarded.  Counts and
+    Poisson means are capped at ``cap`` with a diagnostic flag.
     """
     if length < 1:
         raise DomainError("series length must be >= 1")
     tau = params.delay
-    total = burnin + length
+    total = BLOWFLY_BURNIN + length
     hist = np.empty(tau + total, dtype=np.int64)
-    hist[:tau] = int(init_adults)
+    hist[:tau] = BLOWFLY_INIT_ADULTS
     capped_any = False
     for t in range(tau, tau + total):
         recruits, survivors, capped = blowfly_step(
@@ -106,46 +112,45 @@ def simulate_blowfly(params: BlowflyParams, length, rng, init_adults=180,
             capped = True
         capped_any = capped_any or capped
         hist[t] = n_t
-    series = hist[tau + burnin:].copy()
+    series = hist[tau + BLOWFLY_BURNIN:].copy()
     if return_diagnostics:
         return series, {"capped": capped_any}
     return series
 
 
-def simulate_blowfly_skeleton(params: BlowflyParams, length, init_adults=180.0,
-                              burnin=50):
+def simulate_blowfly_skeleton(params: BlowflyParams, length):
     """Noise-free mean map: counts replaced by expectations, shocks by 1."""
     tau = params.delay
-    total = burnin + length
+    total = BLOWFLY_BURNIN + length
     hist = np.empty(tau + total, dtype=float)
-    hist[:tau] = float(init_adults)
+    hist[:tau] = BLOWFLY_INIT_ADULTS
     decay = np.exp(-params.survival_rate)
     for t in range(tau, tau + total):
         lagged = hist[t - tau]
         recruits = (params.recruitment_scale * lagged
                     * np.exp(-lagged / params.scaling_pop))
         hist[t] = recruits + decay * hist[t - 1]
-    return hist[tau + burnin:].copy()
+    return hist[tau + BLOWFLY_BURNIN:].copy()
 
 
-def simulate_blowfly_batch(params: BlowflyParams, length, reps, rng,
-                           init_adults=180, burnin=50, cap=COUNT_CAP):
+def simulate_blowfly_batch(params: BlowflyParams, length, reps, rng):
     """``reps`` independent series at one parameter value, vectorized."""
     tau = params.delay
-    total = burnin + length
+    total = BLOWFLY_BURNIN + length
     hist = np.empty((tau + total, reps), dtype=np.int64)
-    hist[:tau] = int(init_adults)
+    hist[:tau] = BLOWFLY_INIT_ADULTS
     for t in range(tau, tau + total):
         lag = hist[t - tau].astype(float)
         shock_r = _gamma_unit_mean(rng, params.recruit_noise_var, size=reps)
         lam = np.minimum(params.recruitment_scale * lag
-                         * np.exp(-lag / params.scaling_pop) * shock_r, cap)
+                         * np.exp(-lag / params.scaling_pop) * shock_r,
+                         COUNT_CAP)
         recruits = rng.poisson(lam)
         shock_s = _gamma_unit_mean(rng, params.survival_noise_var, size=reps)
         p_survive = np.clip(np.exp(-params.survival_rate * shock_s), 0.0, 1.0)
         survivors = rng.binomial(hist[t - 1], p_survive)
-        hist[t] = np.minimum(recruits + survivors, int(cap))
-    return hist[tau + burnin:].T.copy()
+        hist[t] = np.minimum(recruits + survivors, int(COUNT_CAP))
+    return hist[tau + BLOWFLY_BURNIN:].T.copy()
 
 
 # -- predator-prey diffusion ---------------------------------------------------------
@@ -191,19 +196,11 @@ class VolesParams:
         return self.gen_pred_scale ** 2
 
 
-def voles_columns(units):
-    """The fields of n :class:`VolesParams` as (n,) arrays, in the form
-    :func:`voles_drift` reads one parameter value."""
-    fields = VolesParams.names + ("gen_pred_scale_sq",)
-    return SimpleNamespace(**{name: np.array([getattr(u, name) for u in units])
-                              for name in fields})
-
-
 def voles_drift(prey, pred, t, params: VolesParams):
     """Deterministic part of (dn/dt, dp/dt) at time t (years).
 
-    ``params`` is one :class:`VolesParams` or the :func:`voles_columns` of
-    as many units as ``prey`` has entries.
+    ``params`` is one :class:`VolesParams`, or holds each field as an array
+    with one entry per ``prey`` entry.
     """
     season = 1.0 - params.season_amplitude * np.sin(2.0 * np.pi * t)
     dn = (params.prey_growth * season * prey
@@ -216,50 +213,83 @@ def voles_drift(prey, pred, t, params: VolesParams):
     return dn, dp
 
 
-def _euler_step(prey, pred, t, params, z, dt, floor):
-    """One Euler-Maruyama step; only the prey carries the Brownian term."""
-    dn, dp = voles_drift(prey, pred, t, params)
-    noise = prey * params.noise_scale * np.sqrt(dt) * z
-    return (np.maximum(prey + dn * dt + noise, floor),
-            np.maximum(pred + dp * dt, floor))
+def integrate_voles_lockstep(units, normals, record, dt=VOLES_DT,
+                             init=VOLES_INIT, cap=STATE_CAP):
+    """Euler-Maruyama paths of (prey, predator), n together; path u runs at
+    the :class:`VolesParams` ``units[u]``, and column u of the (steps, n)
+    ``normals`` drives its Brownian term, which only the prey carries
+    (multiplicative).  Returns prey and predator, each (len(record), n), at
+    the distinct steps ``record`` (step 0 is ``init``), and each path's
+    first step over ``cap`` (-1 if none), after which the path restarts
+    from ``init`` and its values are meaningless.  Stops once every path
+    has diverged.
+    """
+    fields = VolesParams.names + ("gen_pred_scale_sq",)
+    params = SimpleNamespace(**{name: np.array([getattr(u, name) for u in units])
+                                for name in fields})
+    steps, n = normals.shape
+    prey = np.full(n, float(init[0]))
+    pred = np.full(n, float(init[1]))
+    row_of = {int(step): row for row, step in enumerate(record)}
+    prey_at = np.empty((len(record), n))
+    pred_at = np.empty((len(record), n))
+    if 0 in row_of:
+        prey_at[row_of[0]], pred_at[row_of[0]] = prey, pred
+    diverged = np.full(n, -1)
+    for i in range(steps):
+        dn, dp = voles_drift(prey, pred, i * dt, params)
+        noise = prey * params.noise_scale * np.sqrt(dt) * normals[i]
+        prey = np.maximum(prey + dn * dt + noise, STATE_FLOOR)
+        pred = np.maximum(pred + dp * dt, STATE_FLOOR)
+        hit = (prey > cap) | (pred > cap)
+        if hit.any():
+            diverged[hit & (diverged < 0)] = i
+            prey[hit], pred[hit] = init
+            if diverged.min() >= 0:
+                break
+        if i + 1 in row_of:
+            prey_at[row_of[i + 1]], pred_at[row_of[i + 1]] = prey, pred
+    return prey_at, pred_at, diverged
+
+
+def _voles_paths(params: VolesParams, steps, record, rng, reps,
+                 dt=VOLES_DT, init=VOLES_INIT, cap=STATE_CAP):
+    """:func:`integrate_voles_lockstep` of ``reps`` paths at one parameter
+    value, on (steps, reps) normals drawn from ``rng`` in one call.  On a
+    divergence ``rng`` is left where drawing each step's normals stops."""
+    state = rng.bit_generator.state
+    prey, pred, diverged = integrate_voles_lockstep(
+        [params] * reps, rng.standard_normal((steps, reps)), record, dt,
+        init, cap)
+    if (diverged >= 0).any():
+        step = int(diverged[diverged >= 0].min())
+        rng.bit_generator.state = state
+        rng.standard_normal((step + 1, reps))
+        raise SimulationDivergedError(
+            f"predator-prey state exceeded {cap:g} at t={step * dt:.3f}",
+            params=params)
+    return prey, pred
 
 
 def integrate_voles(params: VolesParams, years, rng, dt=VOLES_DT,
-                    init=VOLES_INIT, floor=STATE_FLOOR, cap=STATE_CAP,
-                    reps=1):
+                    init=VOLES_INIT, cap=STATE_CAP, reps=1):
     """Euler-Maruyama path of (prey, predator); shapes (steps+1, reps).
-
-    Only the prey equation carries the Brownian term (multiplicative).
-    Raises :class:`SimulationDivergedError` when a state exceeds ``cap``.
-    """
+    Raises :class:`SimulationDivergedError` when a state exceeds ``cap``."""
     steps = int(round(years / dt))
-    prey = np.full(reps, float(init[0]))
-    pred = np.full(reps, float(init[1]))
-    out_n = np.empty((steps + 1, reps))
-    out_p = np.empty((steps + 1, reps))
-    out_n[0], out_p[0] = prey, pred
-    for i in range(steps):
-        t = i * dt
-        prey, pred = _euler_step(prey, pred, t, params,
-                                 rng.standard_normal(reps), dt, floor)
-        if np.any(prey > cap) or np.any(pred > cap):
-            raise SimulationDivergedError(
-                f"predator-prey state exceeded {cap:g} at t={t:.3f}",
-                params=params)
-        out_n[i + 1], out_p[i + 1] = prey, pred
-    return out_n, out_p
+    return _voles_paths(params, steps, np.arange(steps + 1), rng, reps,
+                        dt, init, cap)
 
 
-def voles_schedule(length, dt=VOLES_DT, obs_offsets=(0.45, 0.7)):
-    """(whole years simulated, their Euler steps, step index of each
-    observation) for ``length`` observations at years ``k + offsets[0]``,
-    ``k + offsets[1]``, ..."""
+def voles_schedule(length):
+    """(Euler steps simulated, step index of each observation) for
+    ``length`` observations at years ``k + VOLES_OBS_OFFSETS[0]``,
+    ``k + VOLES_OBS_OFFSETS[1]``, ... over whole years."""
     if length < 1:
         raise DomainError("series length must be >= 1")
-    years = int(np.ceil(length / len(obs_offsets)))
-    idx = [int(round((k + off) / dt)) for k in range(years)
-           for off in obs_offsets]
-    return years, int(round(years / dt)), np.asarray(idx[:length])
+    years = int(np.ceil(length / len(VOLES_OBS_OFFSETS)))
+    idx = [int(round((k + off) / VOLES_DT)) for k in range(years)
+           for off in VOLES_OBS_OFFSETS]
+    return int(round(years / VOLES_DT)), np.asarray(idx[:length])
 
 
 def voles_counts(obs_rate, prey, rng):
@@ -267,51 +297,14 @@ def voles_counts(obs_rate, prey, rng):
     return rng.poisson(np.minimum(obs_rate * prey, COUNT_CAP))
 
 
-def simulate_voles(params: VolesParams, length, rng, dt=VOLES_DT,
-                   obs_offsets=(0.45, 0.7), init=VOLES_INIT,
-                   floor=STATE_FLOOR, cap=STATE_CAP, reps=None):
+def simulate_voles(params: VolesParams, length, rng, reps=None):
     """Integer trapping counts at two observation times per year.
 
-    ``length`` observations at years ``k + offsets[0]``, ``k + offsets[1]``;
-    counts are Poisson with mean ``obs_rate * prey``.  With ``reps`` set, a
+    ``length`` observations at the steps of :func:`voles_schedule`; counts
+    are Poisson with mean ``obs_rate * prey``.  With ``reps`` set, a
     (reps, length) matrix of independent series shares one parameter value.
     """
-    years, _, idx = voles_schedule(length, dt, obs_offsets)
-    n_reps = reps or 1
-    prey_path, _ = integrate_voles(params, years, rng, dt=dt, init=init,
-                                   floor=floor, cap=cap, reps=n_reps)
-    counts = voles_counts(params.obs_rate, prey_path[idx], rng)
+    steps, idx = voles_schedule(length)
+    prey, _ = _voles_paths(params, steps, idx, rng, reps or 1)
+    counts = voles_counts(params.obs_rate, prey, rng)
     return counts[:, 0] if reps is None else counts.T.copy()
-
-
-def integrate_voles_lockstep(units, obs_steps, normals):
-    """Prey at the observation steps of n units integrated together.
-
-    ``units`` holds n :class:`VolesParams`; column u of the (steps, n)
-    ``normals`` is unit u's Brownian draws, and ``obs_steps`` are the step
-    indices of :func:`voles_schedule`.  Each unit takes the path that
-    :func:`integrate_voles` gives it with ``reps=1`` on those draws, bit for
-    bit.  Returns the (len(obs_steps), n) prey at ``obs_steps`` and each
-    unit's first step whose state exceeds :data:`STATE_CAP` (-1 if none).
-    A diverged unit restarts from :data:`VOLES_INIT` so that it stays
-    finite; its prey values are meaningless.
-    """
-    params = voles_columns(units)
-    prey = np.full(len(units), VOLES_INIT[0])
-    pred = np.full(len(units), VOLES_INIT[1])
-    rows_at = {}
-    for row, step in enumerate(obs_steps):
-        rows_at.setdefault(int(step), []).append(row)
-    obs = np.empty((len(obs_steps), len(units)))
-    obs[rows_at.get(0, [])] = prey
-    diverged = np.full(len(units), -1)
-    for i in range(normals.shape[0]):
-        prey, pred = _euler_step(prey, pred, i * VOLES_DT, params, normals[i],
-                                 VOLES_DT, STATE_FLOOR)
-        hit = (prey > STATE_CAP) | (pred > STATE_CAP)
-        if hit.any():
-            diverged[hit & (diverged < 0)] = i
-            prey[hit], pred[hit] = VOLES_INIT
-        if i + 1 in rows_at:
-            obs[rows_at[i + 1]] = prey
-    return obs, diverged

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DivergenceError, ShapeError
+from ..errors import DivergenceError, ShapeError, checked_int
 
 
 @dataclass
@@ -22,8 +22,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        self.epochs = checked_int("epochs", self.epochs, 1)
+        if self.batch_size is not None:
+            self.batch_size = checked_int("batch_size", self.batch_size, 1)
+        self.patience = checked_int("patience", self.patience, 1)
+        if not self.learning_rate > 0.0:
+            raise ValueError("learning_rate must be > 0")
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie in (0, 1)")
 

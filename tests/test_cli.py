@@ -364,6 +364,21 @@ def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
     ("lfi-score", {"train_frac": float("nan")}),
     ("lfi", {"score_reps": "lots"}),
     ("lfi", {"n_total": 0}),
+    ("fit", {"train": {"epochs": 2.5}}),
+    ("fit", {"train": {"batch_size": 2.5}}),
+    ("fit", {"train": {"batch_size": -5}}),
+    ("fit", {"train": {"patience": 0}}),
+    ("fit", {"train": {"learning_rate": -1}}),
+    ("fit", {"train": {"epochs": True}}),
+    ("fit", {"network": {"width": 2.5}}),
+    ("fit", {"mcmc": {"burnin": "10"}}),
+    ("fit", {"mcmc": {"draws": 5.7}}),
+    ("lfi-fit", {"lfi_fit": {"epochs": 2.5}}),
+    ("lfi-fit", {"lfi_fit": {"batch_size": 2.5}}),
+    ("lfi-fit", {"lfi_fit": {"batch_size": -5}}),
+    ("lfi-fit", {"lfi_fit": {"patience": 0}}),
+    ("lfi-fit", {"lfi_fit": {"burnin": 5.9}}),
+    ("lfi", {"lfi_fit": {"epochs": True}}),
 ])
 def test_bad_config_values_exit_config_without_a_traceback(
         tmp_path, capsys, task, options):

@@ -14,10 +14,16 @@ from copreg.lfi import (
     simulate_blowfly_skeleton,
     simulate_voles,
 )
+from copreg.lfi.priors import default_blowfly_prior
 
 BF = BlowflyParams(survival_rate=0.2, recruitment_scale=5.0,
                    scaling_pop=300.0, recruit_noise_var=0.2, delay=12,
                    survival_noise_var=0.2)
+
+#: Recruitment far above the count cap.
+WILD = BlowflyParams(survival_rate=0.01, recruitment_scale=1e7,
+                     scaling_pop=1e7, recruit_noise_var=0.1, delay=2,
+                     survival_noise_var=0.1)
 
 
 def test_skeleton_matches_independent_map():
@@ -69,11 +75,8 @@ def test_blowfly_survivors_bounded_by_previous_population():
 
 
 def test_blowfly_cap_flag_and_ceiling():
-    wild = BlowflyParams(survival_rate=0.01, recruitment_scale=1e7,
-                         scaling_pop=1e7, recruit_noise_var=0.1, delay=2,
-                         survival_noise_var=0.1)
     rng = np.random.default_rng(4)
-    series, diag = simulate_blowfly(wild, 30, rng, cap=1e5,
+    series, diag = simulate_blowfly(WILD, 30, rng, cap=1e5,
                                     return_diagnostics=True)
     assert diag["capped"]
     assert series.max() <= 1e5
@@ -85,6 +88,24 @@ def test_blowfly_batch_matches_contract():
     assert batch.shape == (8, 50)
     batch2 = simulate_blowfly_batch(BF, 50, 8, np.random.default_rng(5))
     np.testing.assert_array_equal(batch, batch2)
+
+
+@pytest.mark.parametrize("length", [30, 100])
+def test_blowfly_scalar_and_batch_loops_are_one_recursion(length):
+    """The scalar loop (training units) and the batch loop (replicates) are
+    kept apart for speed; at reps=1 they give the same series and consume
+    the same draws, on 100 prior draws and on capped runs."""
+    draws = default_blowfly_prior().sample_matrix(
+        np.random.default_rng(length), 100)
+    cases = [BlowflyParams.from_array(row) for row in draws] + [WILD] * 10
+    for seed, params in enumerate(cases):
+        rng, batch_rng = (np.random.default_rng(seed),
+                          np.random.default_rng(seed))
+        one = simulate_blowfly(params, length, rng)
+        batch = simulate_blowfly_batch(params, length, 1, batch_rng)
+        assert np.array_equal(one, batch[0])
+        assert np.array_equal(rng.random(3), batch_rng.random(3))
+    assert one.max() == 1e8  # the wild runs reach the default cap
 
 
 def test_blowfly_param_validation():

@@ -1,11 +1,18 @@
-"""Training units against the per-unit loop, bit for bit.
+"""Voles simulation and training units against per-step loops, bit for bit.
+
+``reference_integrate_voles`` is the Euler-Maruyama loop written one step at
+a time: each step draws its ``reps`` normals.  :func:`integrate_voles` and
+:func:`simulate_voles` draw all of a path's normals in one call and integrate
+them in :func:`integrate_voles_lockstep`; they must consume the same random
+stream, also when a path diverges, so arrays, errors and the generator's
+next draws all equal the reference exactly.
 
 ``reference_generate_training`` is ``generate_training`` written one unit at
-a time: each unit's generator draws rho, runs the simulator on it and
-resamples after a divergence.  :func:`copreg.lfi.generate_training`
-integrates voles units together in blocks; every unit must consume its
-stream as the reference does, so params, series, divergence warnings and
-errors all equal the reference exactly.
+a time: each unit's generator draws rho, runs the simulator on it (voles
+through the per-step reference) and resamples after a divergence.
+:func:`copreg.lfi.generate_training` integrates voles units together in
+blocks; every unit must consume its stream as the reference does, so params,
+series, divergence warnings and errors all equal the reference exactly.
 """
 
 import functools
@@ -24,10 +31,52 @@ from copreg.errors import (
 from copreg.lfi import blowfly_model, generate_training, voles_model
 from copreg.lfi import pipeline
 from copreg.lfi.priors import ParamPrior, PriorSpec, default_voles_prior
+from copreg.lfi.simulators import (
+    STATE_CAP,
+    STATE_FLOOR,
+    VolesParams,
+    integrate_voles,
+    simulate_voles,
+    voles_counts,
+    voles_drift,
+)
 
 LOGGER = "copreg.lfi.pipeline"
 
-# -- reference: the per-unit loop ----------------------------------------------------
+# -- reference: the per-step loop and the per-unit loop ------------------------------
+
+
+def reference_integrate_voles(params, years, rng, dt=1e-2, init=(1.0, 0.1),
+                              cap=STATE_CAP, reps=1):
+    steps = int(round(years / dt))
+    prey = np.full(reps, float(init[0]))
+    pred = np.full(reps, float(init[1]))
+    out_n = np.empty((steps + 1, reps))
+    out_p = np.empty((steps + 1, reps))
+    out_n[0], out_p[0] = prey, pred
+    for i in range(steps):
+        t = i * dt
+        dn, dp = voles_drift(prey, pred, t, params)
+        noise = prey * params.noise_scale * np.sqrt(dt) * rng.standard_normal(
+            reps)
+        prey = np.maximum(prey + dn * dt + noise, STATE_FLOOR)
+        pred = np.maximum(pred + dp * dt, STATE_FLOOR)
+        if np.any(prey > cap) or np.any(pred > cap):
+            raise SimulationDivergedError(
+                f"predator-prey state exceeded {cap:g} at t={t:.3f}",
+                params=params)
+        out_n[i + 1], out_p[i + 1] = prey, pred
+    return out_n, out_p
+
+
+def reference_simulate_voles(params, length, rng, reps=None):
+    """Counts at years k + 0.45 and k + 0.7 of the whole years simulated."""
+    years = int(np.ceil(length / 2))
+    idx = [int(round((k + off) / 1e-2)) for k in range(years)
+           for off in (0.45, 0.7)][:length]
+    prey, _ = reference_integrate_voles(params, years, rng, reps=reps or 1)
+    counts = voles_counts(params.obs_rate, prey[idx], rng)
+    return counts[:, 0] if reps is None else counts.T.copy()
 
 
 def reference_generate_training(model, n_total, seed=0, max_retries=100):
@@ -39,7 +88,11 @@ def reference_generate_training(model, n_total, seed=0, max_retries=100):
         for attempt in range(max_retries):
             rho = model.prior.sample_matrix(rng, 1)[0]
             try:
-                series[i] = model.simulate(rho, rng)
+                if model.name == "voles":
+                    series[i] = reference_simulate_voles(
+                        VolesParams.from_array(rho), model.series_length, rng)
+                else:
+                    series[i] = model.simulate(rho, rng)
                 params[i] = rho
                 break
             except SimulationDivergedError:
@@ -108,6 +161,62 @@ def test_voles_units_do_not_depend_on_the_block_size(monkeypatch):
     params, series = units(voles_model(series_length=90), 40, seed=3)
     assert np.array_equal(params, ref_params)
     assert np.array_equal(series, ref_series)
+
+
+# prior draw k runs INTEGRATE_CASES[k % 2] and SIMULATE_CASES[k % 4]
+INTEGRATE_CASES = [{"years": 2.0, "reps": 2},
+                   {"years": 1.0, "dt": 5e-3, "init": (0.2, 0.1),
+                    "cap": 50.0}]
+SIMULATE_CASES = [{"length": 9}, {"length": 32, "reps": 3}, {"length": 32},
+                  {"length": 9, "reps": 3}]
+
+
+def seeded_outcome(simulate, params, seed, **options):
+    """(the arrays ``simulate`` returns on a fresh generator, or its
+    divergence message and params; that generator's next draws)."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = simulate(params, rng=rng, **options)
+        result = list(result) if isinstance(result, tuple) else [result]
+    except SimulationDivergedError as exc:
+        result = (str(exc), exc.params)
+    return result, rng.standard_normal(4)
+
+
+def assert_same_outcome(got, want):
+    (result, draws), (ref_result, ref_draws) = got, want
+    assert np.array_equal(draws, ref_draws)
+    assert type(result) is type(ref_result)
+    if isinstance(ref_result, tuple):
+        assert result == ref_result
+        return
+    assert len(result) == len(ref_result)
+    for a, b in zip(result, ref_result):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("wide_noise", [False, True])
+def test_simulators_equal_the_per_step_loop(wide_noise):
+    """150 draws from the shipped prior, and 150 with a noise scale wide
+    enough that many paths diverge, each run through one integrate_voles
+    and one simulate_voles case."""
+    model = noisy_voles() if wide_noise else voles_model()
+    draws = model.prior.sample_matrix(np.random.default_rng(11), 150)
+    diverged = 0
+    for k, row in enumerate(draws):
+        params = VolesParams.from_array(row)
+        for simulate, reference, options in (
+                (integrate_voles, reference_integrate_voles,
+                 INTEGRATE_CASES[k % 2]),
+                (simulate_voles, reference_simulate_voles,
+                 SIMULATE_CASES[k % 4])):
+            want = seeded_outcome(reference, params, k, **options)
+            assert_same_outcome(
+                seeded_outcome(simulate, params, k, **options), want)
+            diverged += isinstance(want[0], tuple)
+    if wide_noise:
+        assert 50 <= diverged <= 250
 
 
 def test_blowfly_units_equal_the_per_unit_loop():
