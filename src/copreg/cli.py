@@ -37,6 +37,7 @@ from .errors import (
     NumericalError,
     ShapeError,
     SimulationDivergedError,
+    checked_float,
     checked_int,
 )
 from .lfi import (
@@ -52,7 +53,7 @@ from .lfi import (
 )
 from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
-from .nnet import TrainConfig, build_ffn
+from .nnet import Dropout, TrainConfig, build_ffn
 from .pipeline import (
     CopulaRegression,
     config_hash,
@@ -60,6 +61,7 @@ from .pipeline import (
     write_manifest,
 )
 from .predict import (
+    GRID_SIZE,
     average_predictive_cdf,
     average_predictive_density,
     export_density_csv,
@@ -139,14 +141,6 @@ def _require(cfg, key, task):
     return cfg[key]
 
 
-def _fraction(key, value):
-    """Config value ``value`` of ``key`` as a float strictly between 0 and 1."""
-    if (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and 0.0 < value < 1.0):
-        return float(value)
-    raise ConfigError(f"{key!r} must be a number in (0, 1), got {value!r}")
-
-
 def _options(factory, opts, key, **fixed):
     """``factory(**opts, **fixed)`` (``fixed`` wins), with unknown or
     invalid options a ConfigError."""
@@ -166,24 +160,17 @@ def _record(cfg, seed, task):
 
 
 def _network_options(width=64, dropout=0.5):
-    opts = {"width": checked_int("width", width, 1), "dropout_rate": dropout}
-    build_ffn(1, **opts)  # a bad dropout rate fails here
-    return opts
-
-
-def _mcmc_options(variant="horseshoe", burnin=1000, draws=1000, thin=1):
-    opts = {"variant": variant, "burnin": checked_int("burnin", burnin, 0),
-            "draws": checked_int("draws", draws, 1),
-            "thin": checked_int("thin", thin, 1)}
-    check_sampler(**opts)
-    return opts
+    return {"width": checked_int("width", width, 1),
+            "dropout_rate": Dropout(dropout).rate}
 
 
 def _tabular_options(cfg, seed):
     """The checked network, training and sampler options of a ``fit`` config."""
+    mcmc = cfg.get("mcmc", {})
+    _options(check_sampler, mcmc, "mcmc")  # fit_copula_regression converts it
     return (_options(_network_options, cfg.get("network", {}), "network"),
             _options(TrainConfig, cfg.get("train", {}), "train", seed=seed),
-            _options(_mcmc_options, cfg.get("mcmc", {}), "mcmc"))
+            mcmc)
 
 
 def _fit_tabular(options, x, y, seed):
@@ -207,7 +194,7 @@ def cmd_fit(cfg, out_dir, seed):
 
 
 def cmd_predict(cfg, out_dir, seed):
-    grid_size = checked_int("grid_size", cfg.get("grid_size", 512), 1)
+    grid_size = checked_int("grid_size", cfg.get("grid_size", GRID_SIZE), 1)
     bundle_dir = _require(cfg, "bundle", "predict")
     fit = CopulaRegression.load(bundle_dir)
     header, table = load_table(_require(cfg, "dataset", "predict"))
@@ -221,7 +208,7 @@ def cmd_predict(cfg, out_dir, seed):
 
 def cmd_calibrate(cfg, out_dir, seed):
     folds = checked_int("folds", cfg.get("folds", 10), 0)
-    grid_size = checked_int("grid_size", cfg.get("grid_size", 512), 1)
+    grid_size = checked_int("grid_size", cfg.get("grid_size", GRID_SIZE), 1)
     bundle_dir = _require(cfg, "bundle", "calibrate")
     fit = CopulaRegression.load(bundle_dir)
     if folds >= 2:
@@ -301,16 +288,16 @@ def _check_lfi_network(lfi_cfg, series_length):
 
 def _score_options(cfg):
     """The checked ``composite_scores`` options of an ``lfi-score`` config."""
-    return {"train_frac": _fraction("train_frac", cfg.get("train_frac", 0.8)),
+    return {"train_frac": checked_float("train_frac",
+                                        cfg.get("train_frac", 0.8), 0.0, 1.0),
             "reps": checked_int("score_reps", cfg.get("score_reps", 1000), 1)}
 
 
 def cmd_lfi_simulate(cfg, out_dir, seed):
     model = _sim_model(cfg)
     n_total = checked_int("n_total", cfg.get("n_total", 2500), 1)
-    split = _fraction("split", cfg.get("split", 0.8))
-    train_b, test_b = generate_training(model, n_total, split=split,
-                                        seed=seed)
+    train_b, test_b = generate_training(model, n_total,
+                                        split=cfg.get("split", 0.8), seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     train_b.save_csv(os.path.join(out_dir, "train.csv"))
     test_b.save_csv(os.path.join(out_dir, "test.csv"))
@@ -385,14 +372,18 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
 
 
 def cmd_lfi(cfg, out_dir, seed):
-    """Full pipeline: simulate, fit every parameter, score."""
+    """Full pipeline: simulate, fit every parameter, score; the manifest
+    records this run, not its last step."""
+    model = _sim_model(cfg)
     # reject bad fit and score options before simulating
-    _check_lfi_network(_lfi_config(cfg), _sim_model(cfg).series_length)
+    _check_lfi_network(_lfi_config(cfg), model.series_length)
     _score_options(cfg)
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
-    return cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir,
-                         fit_dir=out_dir)
+    cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir, fit_dir=out_dir)
+    write_manifest(out_dir, {**_record(cfg, seed, "lfi"),
+                             "param_names": list(model.prior.names)})
+    return EXIT_OK
 
 
 # -- entry point -------------------------------------------------------------------

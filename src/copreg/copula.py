@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.special import ndtri
 
-from .errors import DomainError, NumericalError, ShapeError
+from .errors import DomainError, NumericalError, ShapeError, checked_int
 from .margin import MarginModel, PredictiveKernel, to_pseudo
 
 #: Dense-matrix operations refuse instances larger than this.
@@ -429,16 +429,17 @@ def _ess(chain):
     return n / (1.0 + 2.0 * acc)
 
 
-def check_sampler(variant, burnin, draws, thin):
-    """Raise :class:`DomainError` unless ``variant`` is one of
-    :data:`VARIANTS`, draws >= 1, thin >= 1 and burnin >= 0."""
+def check_sampler(variant="horseshoe", burnin=1000, draws=1000, thin=1):
+    """``(burnin, draws, thin)`` as ints; :class:`DomainError` unless
+    ``variant`` is one of :data:`VARIANTS` and the sizes are whole numbers
+    with burnin >= 0, draws >= 1 and thin >= 1.  The defaults are
+    :func:`~copreg.pipeline.fit_copula_regression`'s."""
     if variant not in VARIANTS:
         raise DomainError(f"unknown shrinkage variant {variant!r}; "
                           f"expected one of {VARIANTS}")
-    if draws < 1 or thin < 1 or burnin < 0:
-        raise DomainError(
-            f"sampler sizes need draws >= 1, thin >= 1 and burnin >= 0; "
-            f"got draws={draws}, thin={thin}, burnin={burnin}")
+    return (checked_int("burnin", burnin, 0, DomainError),
+            checked_int("draws", draws, 1, DomainError),
+            checked_int("thin", thin, 1, DomainError))
 
 
 def run_mcmc_pseudo(z, basis, variant, burnin=1000, draws=1000, rng=None,
@@ -450,7 +451,7 @@ def run_mcmc_pseudo(z, basis, variant, burnin=1000, draws=1000, rng=None,
     """
     if rng is None:
         raise DomainError("run_mcmc requires an explicit rng for reproducibility")
-    check_sampler(variant, burnin, draws, thin)
+    burnin, draws, thin = check_sampler(variant, burnin, draws, thin)
     z = np.asarray(z, dtype=float)
     basis = np.asarray(basis, dtype=float)
     n, q = basis.shape

@@ -1,5 +1,6 @@
 """Semantic exception hierarchy shared across the package."""
 
+import math
 import numbers
 
 
@@ -43,14 +44,26 @@ class DataError(CopregError):
     """Malformed or missing input data."""
 
 
-def checked_int(name, value, low):
-    """``value`` of option ``name`` as an int; ConfigError unless it is a
+def checked_int(name, value, low, error=ConfigError):
+    """``value`` of option ``name`` as an int; ``error`` unless it is a
     whole number >= ``low``.  Integral floats such as 3.0 pass; bools,
     strings, fractions, inf and nan do not."""
     whole = (isinstance(value, numbers.Integral)
              and not isinstance(value, bool)) or (
         isinstance(value, float) and value.is_integer())
     if not whole or value < low:
-        raise ConfigError(f"{name!r} must be an integer >= {low}, "
-                          f"got {value!r}")
+        raise error(f"{name!r} must be an integer >= {low}, got {value!r}")
     return int(value)
+
+
+def checked_float(name, value, low, high=math.inf, include_low=False):
+    """``value`` of option ``name`` as a float; ConfigError unless it is a
+    number in (``low``, ``high``), or in [``low``, ``high``) with
+    ``include_low``.  Bools, strings and nan do not pass."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and (low <= value if include_low else low < value)
+            and value < high):
+        return float(value)
+    raise ConfigError(f"{name!r} must be a number in "
+                      f"{'[' if include_low else '('}{low}, {high}), "
+                      f"got {value!r}")

@@ -20,10 +20,12 @@ from ..errors import (
     DataError,
     DomainError,
     SimulationDivergedError,
+    checked_float,
     checked_int,
 )
 
 from ..nnet import TrainConfig, build_cnn
+from ..pipeline import fit_copula_regression
 
 from ..predict import (
     PredictiveModel,
@@ -148,10 +150,8 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     :func:`_voles_units`), with every unit's output the same as when
     simulated alone.
     """
-    if not 0.0 < split < 1.0:
-        raise ConfigError("split must lie in (0, 1)")
-    if max_retries < 1:
-        raise ConfigError("max_retries must be >= 1")
+    split = checked_float("split", split, 0.0, 1.0)
+    max_retries = checked_int("max_retries", max_retries, 1)
     children = np.random.SeedSequence(seed).spawn(n_total)
     p = model.prior.dim
     params = np.empty((n_total, p))
@@ -241,12 +241,9 @@ class LfiFitConfig:
         self.filter_counts = _positive_pair("filter_counts",
                                             self.filter_counts)
         self.dense_width = checked_int("dense_width", self.dense_width, 1)
-        if not self.l2 >= 0:
-            raise ValueError(f"l2 must be >= 0, got {self.l2!r}")
-        self.burnin = checked_int("burnin", self.burnin, 0)
-        self.draws = checked_int("draws", self.draws, 1)
-        self.thin = checked_int("thin", self.thin, 1)
-        check_sampler(self.variant, self.burnin, self.draws, self.thin)
+        self.l2 = checked_float("l2", self.l2, 0.0, include_low=True)
+        self.burnin, self.draws, self.thin = check_sampler(
+            self.variant, self.burnin, self.draws, self.thin)
 
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
@@ -275,8 +272,6 @@ def lfi_fit(train_batch: SimBatch, param_index, config: LfiFitConfig = None,
     :class:`~copreg.predict.PredictiveModel`, or the full serializable fit
     when ``return_bundle`` is set.
     """
-    from ..pipeline import fit_copula_regression
-
     if train_batch.n == 0:
         raise DataError("empty training batch")
     cfg = config or LfiFitConfig()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import ShapeError, checked_float
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -93,8 +93,6 @@ class _Affine(Layer):
         if activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {activation!r}")
         self.activation = activation
-        if l2 < 0:
-            raise ValueError("l2 coefficient must be >= 0")
         self.l2 = float(l2)
 
     def l2_penalty(self):
@@ -323,9 +321,8 @@ class Dropout(Layer):
 
     def __init__(self, rate):
         super().__init__()
-        if not 0.0 <= rate < 1.0:
-            raise ValueError("dropout rate must lie in [0, 1)")
-        self.rate = float(rate)
+        self.rate = checked_float("dropout rate", rate, 0.0, 1.0,
+                                  include_low=True)
 
     def out_shape(self, in_shape):
         return in_shape

@@ -45,7 +45,7 @@ def build_ffn(p, width=64, dropout_rate=0.5, seed=0, output_bias=False):
 
 
 def build_cnn(series_len, kernel_sizes=(31, 10), filter_counts=(31, 7),
-              l2=1e-3, dense_width=100, seed=0, output_bias=False):
+              l2=1e-3, dense_width=100, seed=0):
     """Two conv blocks, then a dense hidden layer, linear scalar output.
 
     Layout: conv(relu, L2) -> batchnorm -> maxpool -> conv(relu, L2) ->
@@ -72,5 +72,5 @@ def build_cnn(series_len, kernel_sizes=(31, 10), filter_counts=(31, 7),
         shape = layer.out_shape(shape)
     layers.append(_dense(rng, shape[0], dense_width, "relu"))
     layers.append(BatchNorm(dense_width))
-    layers.append(_dense(rng, dense_width, 1, "linear", use_bias=output_bias))
+    layers.append(_dense(rng, dense_width, 1, "linear", use_bias=False))
     return Network(layers, (series_len, 1))

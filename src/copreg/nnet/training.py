@@ -6,7 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DivergenceError, ShapeError, checked_int
+from ..errors import DivergenceError, ShapeError, checked_float, checked_int
+
+#: Adam's decay rates and denominator guard: the published defaults (Kingma &
+#: Ba 2015), which no caller changes
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
 
 
 @dataclass
@@ -14,9 +20,6 @@ class TrainConfig:
     epochs: int = 200
     batch_size: int | None = None  # None -> full batch
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int = 10
     val_fraction: float = 0.1
     seed: int = 0
@@ -26,27 +29,26 @@ class TrainConfig:
         if self.batch_size is not None:
             self.batch_size = checked_int("batch_size", self.batch_size, 1)
         self.patience = checked_int("patience", self.patience, 1)
-        if not self.learning_rate > 0.0:
-            raise ValueError("learning_rate must be > 0")
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ValueError("val_fraction must lie in (0, 1)")
+        self.learning_rate = checked_float("learning_rate",
+                                           self.learning_rate, 0.0)
+        self.val_fraction = checked_float("val_fraction", self.val_fraction,
+                                          0.0, 1.0)
 
 
 class AdamState:
-    def __init__(self, size, cfg: TrainConfig):
+    def __init__(self, size, learning_rate):
         self.m = np.zeros(size)
         self.v = np.zeros(size)
         self.t = 0
-        self.cfg = cfg
+        self.learning_rate = learning_rate
 
     def step(self, params, grads):
-        cfg = self.cfg
         self.t += 1
-        self.m = cfg.beta1 * self.m + (1.0 - cfg.beta1) * grads
-        self.v = cfg.beta2 * self.v + (1.0 - cfg.beta2) * grads * grads
-        m_hat = self.m / (1.0 - cfg.beta1 ** self.t)
-        v_hat = self.v / (1.0 - cfg.beta2 ** self.t)
-        return params - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.eps)
+        self.m = BETA1 * self.m + (1.0 - BETA1) * grads
+        self.v = BETA2 * self.v + (1.0 - BETA2) * grads * grads
+        m_hat = self.m / (1.0 - BETA1 ** self.t)
+        v_hat = self.v / (1.0 - BETA2 ** self.t)
+        return params - self.learning_rate * m_hat / (np.sqrt(v_hat) + EPS)
 
 
 def train_with_history(net, x, z, cfg: TrainConfig):
@@ -73,7 +75,7 @@ def train_with_history(net, x, z, cfg: TrainConfig):
 
     batch = cfg.batch_size or x_tr.shape[0]
     params = net.get_weights_vector()
-    adam = AdamState(params.size, cfg)
+    adam = AdamState(params.size, cfg.learning_rate)
 
     best_val = net.mse(x_val, z_val)
     best_params = params.copy()

@@ -129,11 +129,7 @@ class _ScaledBasis:
         self.scaler = scaler
 
     def extract_basis(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        x2 = self.scaler.transform(np.atleast_2d(x))
-        basis = self.network.extract_basis(x2)
-        return basis[0] if single else basis
+        return self.network.extract_basis(self.scaler.transform(x))
 
 
 def _scaled_inputs(network, x):
@@ -158,7 +154,8 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
     columns are rescaled to [0, 1]; a convolutional network for series
     features sees them raw.
     """
-    check_sampler(variant, burnin, draws, thin)  # before any fitting
+    # before any fitting
+    burnin, draws, thin = check_sampler(variant, burnin, draws, thin)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if x.shape[0] != y.size:

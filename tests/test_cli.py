@@ -1,11 +1,17 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 
+import contextlib
 import filecmp
+import io
 import json
+import math
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from copreg.cli import EXIT_CONFIG, EXIT_DATA, load_table, main
 
@@ -379,6 +385,11 @@ def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
     ("lfi-fit", {"lfi_fit": {"patience": 0}}),
     ("lfi-fit", {"lfi_fit": {"burnin": 5.9}}),
     ("lfi", {"lfi_fit": {"epochs": True}}),
+    ("fit", {"train": {"learning_rate": True}}),
+    ("fit", {"train": {"beta1": 0.5}}),  # Adam's constants are not options
+    ("fit", {"train": {"eps": -1}}),
+    ("fit", {"network": {"dropout": False}}),
+    ("lfi-fit", {"lfi_fit": {"l2": True}}),
 ])
 def test_bad_config_values_exit_config_without_a_traceback(
         tmp_path, capsys, task, options):
@@ -393,6 +404,95 @@ def test_bad_config_values_exit_config_without_a_traceback(
     assert main([task, "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
     assert not out.exists()
+
+
+# (task, block, key, low, high, whole, include_low): every numeric option of
+# the ``fit`` network/train/mcmc blocks and of the ``lfi_fit`` block, valid
+# in [low, high) when ``include_low`` is set and in (low, high) otherwise
+NUMERIC_OPTIONS = [
+    ("fit", "network", "width", 1, math.inf, True, True),
+    ("fit", "network", "dropout", 0.0, 1.0, False, True),
+    ("fit", "train", "epochs", 1, math.inf, True, True),
+    ("fit", "train", "batch_size", 1, math.inf, True, True),
+    ("fit", "train", "patience", 1, math.inf, True, True),
+    ("fit", "train", "learning_rate", 0.0, math.inf, False, False),
+    ("fit", "train", "val_fraction", 0.0, 1.0, False, False),
+    ("fit", "mcmc", "burnin", 0, math.inf, True, True),
+    ("fit", "mcmc", "draws", 1, math.inf, True, True),
+    ("fit", "mcmc", "thin", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "kernel_sizes", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "filter_counts", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "dense_width", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "l2", 0.0, math.inf, False, True),
+    ("lfi-fit", "lfi_fit", "epochs", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "batch_size", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "patience", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "burnin", 0, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "draws", 1, math.inf, True, True),
+    ("lfi-fit", "lfi_fit", "thin", 1, math.inf, True, True),
+]
+PAIRS = ("kernel_sizes", "filter_counts")
+
+
+def _in_range(low, high, whole, include_low):
+    if whole:
+        # bounded: a network built before the data is read stays small
+        ints = st.integers(low, low + 1000)
+        return ints | ints.map(float)
+    finite = high < math.inf
+    return st.floats(low, high if finite else None,
+                     exclude_min=not include_low, exclude_max=finite,
+                     allow_nan=False, allow_infinity=False)
+
+
+def _out_of_range(low, high, whole, include_low):
+    bad = [st.booleans(), st.text(max_size=4),
+           st.sampled_from([math.nan, math.inf, -math.inf]),
+           st.integers(max_value=low - 1) if whole
+           else st.floats(max_value=low, exclude_max=include_low,
+                          allow_nan=False)]
+    if high < math.inf:
+        bad.append(st.floats(min_value=high, allow_nan=False))
+    if whole:
+        bad.append(st.floats(allow_nan=False, allow_infinity=False).filter(
+            lambda v: not v.is_integer()))
+    return st.one_of(bad)
+
+
+def _run_with_option(task, block, key, value):
+    """(exit code, stderr, whether ``--out`` exists) of ``task`` with one
+    option set and neither its dataset nor its data directory present."""
+    with tempfile.TemporaryDirectory() as tmp:
+        payload = {"dataset": os.path.join(tmp, "missing.csv"),
+                   "simulator": "blowfly",
+                   "data_dir": os.path.join(tmp, "no_data"), "seed": 1,
+                   block: {key: [value, 1] if key in PAIRS else value}}
+        cfg = write_config(os.path.join(tmp, "cfg.json"), payload)
+        out = os.path.join(tmp, "out")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([task, "--config", cfg, "--out", out])
+        return code, err.getvalue(), os.path.exists(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_bad_numeric_options_exit_config(data):
+    task, block, key, *bounds = data.draw(st.sampled_from(NUMERIC_OPTIONS))
+    value = data.draw(_out_of_range(*bounds), label="value")
+    code, err, wrote = _run_with_option(task, block, key, value)
+    assert code == EXIT_CONFIG and err.startswith("config error: ")
+    assert not wrote
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_numeric_options_in_range_pass_the_config_stage(data):
+    task, block, key, *bounds = data.draw(st.sampled_from(NUMERIC_OPTIONS))
+    value = data.draw(_in_range(*bounds), label="value")
+    code, err, wrote = _run_with_option(task, block, key, value)
+    assert code == EXIT_DATA and err.startswith("data error: ")
+    assert not wrote
 
 
 def test_config_that_is_not_an_object_exits_config(tmp_path):
@@ -551,9 +651,11 @@ def test_every_command_writes_the_manifest_contract(tmp_path, dataset_csv):
            "lfi_fit": {"kernel_sizes": [5, 3], "filter_counts": [3, 2],
                        "dense_width": 6, "epochs": 2, "batch_size": 16,
                        "variant": "ridge", "burnin": 10, "draws": 10}}
-    for task, out in (("lfi-simulate", "data"), ("lfi-fit", "fit"),
-                      ("lfi-score", "score")):
-        run(task, lfi, out)
+    steps = {task: run(task, lfi, out) for task, out in (
+        ("lfi-simulate", "data"), ("lfi-fit", "fit"), ("lfi-score", "score"))}
     param = tmp_path / "fit" / "param_delay"
     assert (param / "manifest.json").exists()
     assert not (param / "scaler.json").exists()
+    # the full pipeline writes its own record last, not lfi-score's
+    assert (run("lfi", lfi, "all")["param_names"]
+            == steps["lfi-simulate"]["param_names"])

@@ -46,6 +46,11 @@ def test_generate_training_rejects_bad_split():
         generate_training(blowfly_model(series_length=30), 10, split=1.0)
 
 
+def test_lfi_fit_config_rejects_a_bool_l2():
+    with pytest.raises(ValueError):
+        LfiFitConfig(l2=True)
+
+
 @pytest.mark.slow
 def test_generate_training_paper_scale_split():
     model = blowfly_model(series_length=30)

@@ -277,6 +277,11 @@ def test_train_config_validation():
         TrainConfig(val_fraction=1.0)
 
 
+def test_train_config_rejects_a_bool_learning_rate():
+    with pytest.raises(ValueError):
+        TrainConfig(learning_rate=True)
+
+
 # -- serialization --------------------------------------------------------------------
 
 
