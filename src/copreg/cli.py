@@ -176,7 +176,11 @@ def _tabular_options(cfg, seed):
 def _fit_tabular(options, x, y, seed):
     """The copula regression that checked ``fit`` options describe, fitted to (x, y)."""
     net_opts, train_cfg, mcmc = options
-    network = build_ffn(x.shape[1], seed=seed, **net_opts)
+    try:
+        network = build_ffn(x.shape[1], seed=seed, **net_opts)
+    except MemoryError:
+        raise ConfigError(f"'network.width' of {net_opts['width']} is too "
+                          "large: its weights do not fit in memory") from None
     return fit_copula_regression(x, y, network=network, train_cfg=train_cfg,
                                  seed=seed, **mcmc)
 

@@ -22,7 +22,8 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import ndtri
 
 from .errors import DomainError, NumericalError, ShapeError, checked_int
@@ -196,19 +197,23 @@ def sample_beta(z, basis, state: ShrinkageState, rng, gram=None,
     v = state.prior_variance_diag(q)
     s = scaling_rows(basis, state) if t is None else 1.0 / np.sqrt(1.0 + t)
     prec = basis.T @ basis if gram is None else gram.copy()
-    prec[np.diag_indices(q)] += 1.0 / v
+    prec.flat[::q + 1] += 1.0 / v
     rhs = basis.T @ (z / s)
     try:
         low = np.linalg.cholesky(prec)
     except np.linalg.LinAlgError:
-        prec[np.diag_indices(q)] += 1e-10 * np.trace(prec) / q
+        prec.flat[::q + 1] += 1e-10 * np.trace(prec) / q
         try:
             low = np.linalg.cholesky(prec)
         except np.linalg.LinAlgError as exc:
             raise NumericalError(
                 "posterior precision not positive definite after jitter") from exc
-    mean = cho_solve((low, True), rhs)
-    noise = solve_triangular(low.T, rng.standard_normal(q), lower=False)
+    # LAPACK is called without scipy's finiteness checks: a non-finite entry
+    # of the Cholesky factor always reaches its row's diagonal
+    if not (np.isfinite(low.diagonal()).all() and np.isfinite(rhs).all()):
+        raise NumericalError("posterior precision or mean is not finite")
+    mean, _ = dpotrs(low, rhs, lower=1)
+    noise, _ = dtrtrs(low.T, rng.standard_normal(q), lower=0)
     return mean + noise
 
 
@@ -333,16 +338,16 @@ def _sample_theta_corrected(beta, state, rng, z, mean_vals, t_vals, consts):
         u = 1.0 + t_vals
         cross = float(zm.dot(np.sqrt(u)))
         log_sum = float(np.log(u).sum())
+        # row j: the move of u when lambda_j^2 takes its proposal
+        inc = consts.basis_sq_t * steps[:, None]
+        thresholds = (-consts.half_z2_cols * steps).tolist()
         u_new, work = np.empty_like(u), np.empty_like(u)
         accepted = 0
-        for j, (log_uj, d, c) in enumerate(zip(
-                log_u.tolist(), steps.tolist(),
-                consts.half_z2_cols.tolist())):
-            np.multiply(consts.basis_sq_t[j], d, out=u_new)
-            u_new += u
+        for j, (log_uj, thr) in enumerate(zip(log_u.tolist(), thresholds)):
+            np.add(u, inc[j], out=u_new)
             cross_new = float(zm.dot(np.sqrt(u_new, out=work)))
-            log_sum_new = float(np.log(u_new, out=work).sum())
-            if log_uj < (-c * d + (cross_new - cross)
+            log_sum_new = float(np.add.reduce(np.log(u_new, out=work)))
+            if log_uj < (thr + (cross_new - cross)
                          + 0.5 * (log_sum_new - log_sum)):
                 lam2[j] = props[j]
                 u, u_new = u_new, u

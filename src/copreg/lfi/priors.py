@@ -10,11 +10,12 @@ changes the experiment without code edits.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, checked_float
 
 DIST_KINDS = ("lognormal", "logitnormal")
 
@@ -37,8 +38,10 @@ class ParamPrior:
     def __post_init__(self):
         if self.dist not in DIST_KINDS:
             raise ConfigError(f"unknown prior kind {self.dist!r}")
-        if self.sigma <= 0:
-            raise ConfigError("prior sigma must be positive")
+        object.__setattr__(self, "mu", checked_float(
+            f"{self.name} mu", self.mu, -math.inf))
+        object.__setattr__(self, "sigma", checked_float(
+            f"{self.name} sigma", self.sigma, 0.0))
 
     @property
     def axis(self):

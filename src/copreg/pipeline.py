@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import ndtr
-from scipy.stats import norm
 
 from . import __version__
 from .copula import PosteriorDraws, check_sampler, run_mcmc_pseudo
@@ -181,6 +180,16 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
 # -- plain regression baseline ---------------------------------------------------
 
 
+def _norm_pdf(y, loc, scale):
+    """N(loc, scale^2) density in scipy.stats.norm.pdf's operation order.
+
+    Written out so that no copreg process imports scipy.stats, which costs
+    about half of the package's start-up time.
+    """
+    z = (y - loc) / scale
+    return np.exp(-z**2 / 2.0) / np.sqrt(2 * np.pi) / scale
+
+
 @dataclass
 class GaussianBaseline:
     """Network regression on the raw response with N(f(x), sigma2) forecasts."""
@@ -197,8 +206,8 @@ class GaussianBaseline:
 
     def density_at(self, x_rows, y_values):
         mu = self._mean(x_rows)
-        return norm.pdf(np.asarray(y_values, dtype=float), loc=mu,
-                        scale=np.sqrt(self.sigma2))
+        return _norm_pdf(np.asarray(y_values, dtype=float), mu,
+                         np.sqrt(self.sigma2))
 
     def cdf_at(self, x_rows, y_values):
         mu = self._mean(x_rows)
@@ -208,8 +217,8 @@ class GaussianBaseline:
     def average_density(self, x_rows, y_grid):
         mu = self._mean(x_rows)
         y_grid = np.asarray(y_grid, dtype=float)
-        return norm.pdf(y_grid[None, :], loc=mu[:, None],
-                        scale=np.sqrt(self.sigma2)).mean(axis=0)
+        return _norm_pdf(y_grid[None, :], mu[:, None],
+                         np.sqrt(self.sigma2)).mean(axis=0)
 
     def average_cdf(self, x_rows, y_grid):
         mu = self._mean(x_rows)

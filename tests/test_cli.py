@@ -6,6 +6,8 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -62,6 +64,26 @@ def test_fit_writes_bundle(tmp_path, dataset_csv):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["seed"] == 5
     assert "config_hash" in manifest
+
+
+def test_fit_with_a_network_too_large_for_memory_exits_config(
+        tmp_path, capsys, dataset_csv, monkeypatch):
+    # an oversized network.width is simulated: a real one would take the
+    # machine's memory before numpy raised
+    import copreg.cli as cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 74.5 GiB")
+
+    monkeypatch.setattr(cli, "build_ffn", out_of_memory)
+    cfg = write_config(tmp_path / "fit.json",
+                       {"dataset": dataset_csv, **FAST_FIT})
+    out = tmp_path / "bundle"
+    assert main(["fit", "--config", cfg, "--out", str(out),
+                 "--seed", "5"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "network.width" in err
+    assert not out.exists()
 
 
 def test_fit_reruns_byte_identical(tmp_path, dataset_csv):
@@ -406,6 +428,26 @@ def test_bad_config_values_exit_config_without_a_traceback(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key,value", [
+    ("sigma", True), ("mu", "a"), ("mu", float("nan"))])
+def test_bad_prior_file_entries_exit_config(tmp_path, capsys, key, value):
+    shipped = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "copreg", "data",
+        "blowfly_prior.json")
+    with open(shipped) as fh:
+        prior = json.load(fh)
+    prior["params"][0][key] = value
+    prior_file = write_config(tmp_path / "prior.json", prior)
+    cfg = write_config(tmp_path / "sim.json", {
+        "simulator": "blowfly", "prior_file": prior_file, "n_total": 4,
+        "series_length": 20})
+    out = tmp_path / "out"
+    assert main(["lfi-simulate", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
 # (task, block, key, low, high, whole, include_low): every numeric option of
 # the ``fit`` network/train/mcmc blocks and of the ``lfi_fit`` block, valid
 # in [low, high) when ``include_low`` is set and in (low, high) otherwise
@@ -659,3 +701,43 @@ def test_every_command_writes_the_manifest_contract(tmp_path, dataset_csv):
     # the full pipeline writes its own record last, not lfi-score's
     assert (run("lfi", lfi, "all")["param_names"]
             == steps["lfi-simulate"]["param_names"])
+
+
+IMPORT_GUARD = """
+import json, sys
+from copreg.cli import main
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+assert "scipy.stats" not in sys.modules
+"""
+
+
+def test_commands_never_import_scipy_stats(tmp_path, dataset_csv):
+    # a fresh interpreter: the test modules import scipy.stats themselves
+    bundle = str(tmp_path / "bundle")
+    lfi = write_config(tmp_path / "lfi.json", {
+        "simulator": "blowfly", "series_length": 30, "n_total": 20,
+        "split": 0.8, "score_reps": 20, "lfi_fit": {
+            "kernel_sizes": [5, 3], "filter_counts": [3, 2],
+            "dense_width": 6, "epochs": 2, "batch_size": 16,
+            "variant": "ridge", "burnin": 10, "draws": 10}})
+    runs = [
+        ("fit", write_config(tmp_path / "fit.json",
+                             {"dataset": dataset_csv, **FAST_FIT}), bundle),
+        ("calibrate", write_config(tmp_path / "cal.json", {
+            "bundle": bundle, "dataset": dataset_csv, "folds": 2,
+            "grid_size": 32}), "cal"),
+        ("predict", write_config(tmp_path / "pred.json", {
+            "bundle": bundle, "dataset": dataset_csv, "grid_size": 32}),
+         "pred"),
+        ("lfi", lfi, "lfi"),
+    ]
+    argv = [[task, "--config", cfg, "--out", str(tmp_path / out),
+             "--seed", "3"] for task, cfg, out in runs]
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_GUARD, json.dumps(argv)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True,
+        text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

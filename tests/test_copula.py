@@ -274,6 +274,16 @@ def test_sample_beta_deterministic_given_seed():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sample_beta_rejects_a_non_finite_basis(bad):
+    basis = np.random.default_rng(0).normal(size=(10, 3))
+    basis[4, 1] = bad
+    z = np.random.default_rng(1).normal(size=10)
+    with pytest.raises(NumericalError, match="not finite"):
+        sample_beta(z, basis, ShrinkageState("ridge", tau2=0.7),
+                    np.random.default_rng(42))
+
+
 # -- sample_theta ----------------------------------------------------------------------
 
 

@@ -9,6 +9,7 @@ from copreg.nnet import TrainConfig, build_ffn
 from copreg.pipeline import (
     CopulaRegression,
     FeatureScaler,
+    _norm_pdf,
     fit_copula_regression,
     fit_gaussian_baseline,
 )
@@ -107,6 +108,22 @@ def test_gaussian_baseline_density_and_cdf():
     assert total == pytest.approx(1.0, abs=0.02)
     cdf = base.average_cdf(x, grid)
     assert np.all(np.diff(cdf) >= 0.0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_norm_pdf_equals_scipy_bit_for_bit(seed):
+    from scipy.stats import norm
+
+    rng = np.random.default_rng(seed)
+    scale = float(np.sqrt(rng.gamma(2.0)))
+    loc = 3.0 * rng.normal(size=50)
+    y = 4.0 * rng.normal(size=300)
+    # average_density: a (rows, 1) loc against a (1, grid) y
+    assert np.array_equal(_norm_pdf(y[None, :], loc[:, None], scale),
+                          norm.pdf(y[None, :], loc=loc[:, None], scale=scale))
+    # density_at: one y per row
+    assert np.array_equal(_norm_pdf(y[:50], loc, scale),
+                          norm.pdf(y[:50], loc=loc, scale=scale))
 
 
 def test_fit_rejects_mismatched_rows():
