@@ -8,13 +8,13 @@ pass one and fail the other; both are reported.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DomainError
+from .files import write_csv, write_json
 
 #: Default probability grid for the coverage diagnostic.
 P_GRID = np.linspace(0.01, 0.99, 99)
@@ -158,17 +158,14 @@ class CalibrationReport:
         return float(np.max(np.abs(self.p_tilde - self.p_grid)))
 
     def save(self, prob_csv, marginal_csv, summary_json):
-        np.savetxt(prob_csv, np.column_stack([self.p_grid, self.p_tilde]),
-                   delimiter=",", header="p,p_tilde", comments="",
-                   fmt="%.17g")
-        np.savetxt(marginal_csv,
-                   np.column_stack([self.marginal_grid, self.average_density,
-                                    self.margin_density, self.average_cdf,
-                                    self.margin_cdf]),
-                   delimiter=",",
-                   header="y,average_density,margin_density,average_cdf,margin_cdf",
-                   comments="", fmt="%.17g")
-        summary = {
+        write_csv(prob_csv, ("p", "p_tilde"),
+                  np.column_stack([self.p_grid, self.p_tilde]))
+        write_csv(marginal_csv, ("y", "average_density", "margin_density",
+                                 "average_cdf", "margin_cdf"),
+                  np.column_stack([self.marginal_grid, self.average_density,
+                                   self.margin_density, self.average_cdf,
+                                   self.margin_cdf]))
+        write_json(summary_json, {
             "mls_in_sample": self.mls_in_sample,
             "mls_in_sample_se": self.mls_in_sample_se,
             "mls_kfold": self.mls_kfold,
@@ -176,6 +173,4 @@ class CalibrationReport:
             "fold_scores": self.fold_scores,
             "marginal_distance": self.marginal_distance,
             "probability_distance": self.probability_distance,
-        }
-        with open(summary_json, "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=1)
+        })

@@ -13,8 +13,6 @@ failure.
 from __future__ import annotations
 
 import argparse
-import csv
-import json
 import os
 import sys
 
@@ -40,6 +38,7 @@ from .errors import (
     checked_float,
     checked_int,
 )
+from .files import load_json, load_table, write_json
 from .lfi import (
     LfiFitConfig,
     SimBatch,
@@ -78,61 +77,6 @@ EXIT_NUMERICAL = 4
 
 
 # -- input handling --------------------------------------------------------------
-
-
-def load_table(path):
-    """CSV with a header row; returns (column names, float matrix).
-
-    Non-numeric cells are reported with their row number and column name.
-    """
-    if not os.path.exists(path):
-        raise DataError(f"dataset not found: {path}")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path} is empty") from None
-        rows = []
-        for i, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"{path}: row {i} has {len(row)} cells, expected "
-                    f"{len(header)}")
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                bad = next(c for c in row if not _is_float(c))
-                col = header[row.index(bad)]
-                raise DataError(
-                    f"{path}: non-numeric value {bad!r} at row {i}, "
-                    f"column {col!r}") from None
-    if not rows:
-        raise DataError(f"{path} has a header but no rows")
-    return header, np.asarray(rows, dtype=float)
-
-
-def _is_float(cell):
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
-
-
-def load_config(path):
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise ConfigError(f"{path} must hold a JSON object")
-    return cfg
 
 
 def _require(cfg, key, task):
@@ -369,8 +313,7 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
                       "point_estimate": rho_hat.tolist()},
     }
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "lfi_report.json"), "w") as fh:
-        json.dump(report, fh, sort_keys=True, indent=1)
+    write_json(os.path.join(out_dir, "lfi_report.json"), report)
     write_manifest(out_dir, _record(cfg, seed, "lfi-score"))
     return EXIT_OK
 
@@ -423,7 +366,7 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
+        cfg = load_json(args.config, ConfigError)
         seed = args.seed if args.seed is not None else cfg.get("seed")
         if seed is None:
             raise ConfigError("a seed is mandatory (config key or --seed)")

@@ -26,7 +26,14 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.special import ndtri
 
-from .errors import DomainError, NumericalError, ShapeError, checked_int
+from .errors import (
+    DataError,
+    DomainError,
+    NumericalError,
+    ShapeError,
+    checked_int,
+)
+from .files import load_json, load_table, write_csv
 from .margin import MarginModel, PredictiveKernel, to_pseudo
 
 #: Dense-matrix operations refuse instances larger than this.
@@ -398,8 +405,7 @@ class PosteriorDraws:
                  + ShrinkageState.flat_names(self.variant, self.q))
         rows = np.hstack([self.beta_draws,
                           np.vstack([st.flat() for st in self.theta_draws])])
-        np.savetxt(csv_path, rows, delimiter=",", header=",".join(names),
-                   comments="", fmt="%.17g")
+        write_csv(csv_path, names, rows)
         header = {"variant": self.variant, "q": self.q, "draws": self.n_draws,
                   "diagnostics": self.diagnostics}
         with open(header_path, "w") as fh:
@@ -407,10 +413,9 @@ class PosteriorDraws:
 
     @classmethod
     def load_csv(cls, csv_path, header_path):
-        with open(header_path) as fh:
-            header = json.load(fh)
+        header = load_json(header_path, DataError)
         variant, q = header["variant"], header["q"]
-        rows = np.loadtxt(csv_path, delimiter=",", skiprows=1, ndmin=2)
+        _, rows = load_table(csv_path)
         thetas = [ShrinkageState.from_flat(variant, row[q:], q) for row in rows]
         draws = cls(variant, rows[:, :q], thetas)
         draws.diagnostics = header.get("diagnostics", {})

@@ -14,6 +14,7 @@ import os
 import numpy as np
 
 from .errors import DataError
+from .files import load_table
 
 BOSTON_ENV = "BOSTON_HOUSING_CSV"
 
@@ -54,8 +55,8 @@ def _read_boston(path):
     with open(path) as fh:
         first = fh.readline()
     if any(ch.isalpha() for ch in first):
-        table = np.loadtxt(path, delimiter=",", skiprows=1)
-        names = [c.strip() for c in first.strip().split(",")]
+        header, table = load_table(path)
+        names = [c.strip() for c in header]
     else:
         table = np.loadtxt(path)
         names = list(BOSTON_COLUMNS)

@@ -24,6 +24,7 @@ from ..errors import (
     checked_int,
 )
 
+from ..files import load_table, write_csv
 from ..nnet import TrainConfig, build_cnn
 from ..pipeline import fit_copula_regression
 
@@ -108,6 +109,9 @@ class SimBatch:
         if self.prior is None:
             self.prior = PriorSpec([ParamPrior(name, "lognormal", 0.0, 1.0)
                                     for name in self.param_names])
+        if self.prior.dim != self.params.shape[1]:
+            raise DataError(f"{self.params.shape[1]} parameter columns, but "
+                            f"the prior has {self.prior.dim} parameters")
 
     @property
     def n(self):
@@ -122,16 +126,13 @@ class SimBatch:
         t_len = self.series_length
         names = ([f"rho_{j + 1}" for j in range(p)]
                  + [f"d_{t + 1}" for t in range(t_len)])
-        rows = np.hstack([self.params, self.series.astype(float)])
-        np.savetxt(path, rows, delimiter=",", header=",".join(names),
-                   comments="", fmt="%.17g")
+        write_csv(path, names, np.hstack([self.params,
+                                          self.series.astype(float)]))
 
     @classmethod
     def load_csv(cls, path, param_names=None, prior=None):
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
+        header, rows = load_table(path)
         p = sum(1 for name in header if name.startswith("rho_"))
-        rows = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         names = param_names or (prior.names if prior else header[:p])
         return cls(params=rows[:, :p],
                    series=np.rint(rows[:, p:]).astype(np.int64),

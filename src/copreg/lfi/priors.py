@@ -9,13 +9,13 @@ changes the experiment without code edits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..errors import ConfigError, checked_float
+from ..files import load_json
 
 DIST_KINDS = ("lognormal", "logitnormal")
 
@@ -84,11 +84,15 @@ class PriorSpec:
 
     @classmethod
     def load(cls, path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if "params" not in doc:
-            raise ConfigError(f"prior file {path} has no 'params' list")
-        return cls(params=[ParamPrior(**entry) for entry in doc["params"]])
+        """The priors of a JSON file ``{"params": [entry, ...]}``, each entry
+        an object of :class:`ParamPrior`'s fields; ConfigError otherwise."""
+        entries = load_json(path, ConfigError).get("params")
+        if not entries:
+            raise ConfigError(f"prior file {path} needs a 'params' list")
+        try:
+            return cls(params=[ParamPrior(**entry) for entry in entries])
+        except TypeError as exc:  # not an object, or a missing or unknown key
+            raise ConfigError(f"prior file {path}: {exc}") from None
 
 
 def default_blowfly_prior() -> PriorSpec:

@@ -42,6 +42,7 @@ from scipy import fft
 from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateMarginError, DomainError
+from .files import write_csv
 
 _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -247,9 +248,8 @@ class MarginModel:
     def grid_csv(self, path, num=512) -> None:
         """Write a two-column (y, pdf) grid plus a (y, cdf) companion block."""
         grid = np.linspace(*self.quantile([1e-4, 1.0 - 1e-4]), num)
-        rows = np.column_stack([grid, self.pdf(grid), self.cdf(grid)])
-        header = "y,pdf,cdf"
-        np.savetxt(path, rows, delimiter=",", header=header, comments="", fmt="%.17g")
+        write_csv(path, ("y", "pdf", "cdf"),
+                  np.column_stack([grid, self.pdf(grid), self.cdf(grid)]))
 
 
 def _inverse_hermite(u, f0, f1, x0, x1, logd0, logd1):

@@ -11,13 +11,15 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.special import ndtr
 
 from . import __version__
 from .copula import PosteriorDraws, check_sampler, run_mcmc_pseudo
-from .errors import DataError
+from .errors import DataError, DomainError, ShapeError
+from .files import load_json, write_json
 from .margin import MarginModel, fit_kde, to_pseudo
 from .nnet import Network, TrainConfig, build_ffn, train
 from .predict import PredictiveModel
@@ -61,9 +63,8 @@ class FeatureScaler:
 def write_manifest(out_dir, fields):
     """Write ``manifest.json`` in ``out_dir``: ``fields`` plus the package
     ``version``, keys sorted.  The one writer of that file."""
-    with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
-        json.dump({"version": __version__, **fields}, fh, sort_keys=True,
-                  indent=1)
+    write_json(os.path.join(out_dir, "manifest.json"),
+               {"version": __version__, **fields})
 
 
 @dataclass
@@ -84,38 +85,42 @@ class CopulaRegression:
 
     def save(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "margin.json"), "w") as fh:
-            fh.write(self.margin.to_json())
-        with open(os.path.join(out_dir, "network.json"), "w") as fh:
-            fh.write(self.network.to_json())
+        Path(out_dir, "margin.json").write_text(self.margin.to_json())
+        Path(out_dir, "network.json").write_text(self.network.to_json())
         self.draws.save_csv(os.path.join(out_dir, "draws.csv"),
                             os.path.join(out_dir, "draws_header.json"))
         if self.scaler is not None:
-            with open(os.path.join(out_dir, "scaler.json"), "w") as fh:
-                fh.write(self.scaler.to_json())
+            Path(out_dir, "scaler.json").write_text(self.scaler.to_json())
         write_manifest(out_dir, {"kind": "copula-regression-bundle",
                                  **self.meta})
 
     @classmethod
     def load(cls, out_dir):
-        def read(name):
-            path = os.path.join(out_dir, name)
-            if not os.path.exists(path):
-                raise DataError(f"bundle is missing {name}")
-            with open(path) as fh:
-                return fh.read()
+        """The bundle saved in ``out_dir``; DataError naming the file when
+        one is missing or malformed."""
+        def parse(loader, *names):
+            paths = [os.path.join(out_dir, name) for name in names]
+            for name, path in zip(names, paths):
+                if not os.path.exists(path):
+                    raise DataError(f"bundle is missing {name}")
+            try:
+                return loader(*paths)
+            except (ValueError, LookupError, TypeError, AttributeError,
+                    DomainError, ShapeError) as exc:
+                raise DataError(f"malformed bundle file {' or '.join(paths)}: "
+                                f"{type(exc).__name__}: {exc}") from None
 
-        margin = MarginModel.from_json(read("margin.json"))
-        network = Network.from_json(read("network.json"))
-        draws = PosteriorDraws.load_csv(
-            os.path.join(out_dir, "draws.csv"),
-            os.path.join(out_dir, "draws_header.json"))
-        scaler_path = os.path.join(out_dir, "scaler.json")
+        def from_text(from_json):
+            return lambda path: from_json(Path(path).read_text())
+
+        margin = parse(from_text(MarginModel.from_json), "margin.json")
+        network = parse(from_text(Network.from_json), "network.json")
+        draws = parse(PosteriorDraws.load_csv, "draws.csv",
+                      "draws_header.json")
         scaler = None
-        if os.path.exists(scaler_path):
-            with open(scaler_path) as fh:
-                scaler = FeatureScaler.from_json(fh.read())
-        meta = json.loads(read("manifest.json"))
+        if os.path.exists(os.path.join(out_dir, "scaler.json")):
+            scaler = parse(from_text(FeatureScaler.from_json), "scaler.json")
+        meta = parse(lambda path: load_json(path, DataError), "manifest.json")
         return cls(margin=margin, network=network, draws=draws, scaler=scaler,
                    meta=meta)
 

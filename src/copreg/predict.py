@@ -17,6 +17,7 @@ from scipy.special import ndtr, ndtri
 
 from .copula import PosteriorDraws, scaling_factors
 from .errors import DomainError, ShapeError
+from .files import write_csv
 from .margin import MarginModel, PredictiveKernel
 
 #: Default single-density grids span this predictive quantile range.
@@ -195,11 +196,10 @@ def export_density_csv(pm: PredictiveModel, x_rows, out_dir, num=GRID_SIZE):
         ends = pm.margin.quantile(_margin_level(f_hat, s_hat, tails))
         kernel = PredictiveKernel(pm.margin, np.linspace(*ends, num))
         path = os.path.join(out_dir, f"pred_{i:05d}.csv")
-        np.savetxt(path, np.column_stack([kernel.y,
-                                          np.exp(kernel.logpdf(f_hat, s_hat)),
-                                          kernel.cdf(f_hat, s_hat)]),
-                   delimiter=",", header="y,density,cdf", comments="",
-                   fmt="%.17g")
+        write_csv(path, ("y", "density", "cdf"),
+                  np.column_stack([kernel.y,
+                                   np.exp(kernel.logpdf(f_hat, s_hat)),
+                                   kernel.cdf(f_hat, s_hat)]))
         paths.append(path)
     return paths
 

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -429,7 +430,7 @@ def test_bad_config_values_exit_config_without_a_traceback(
 
 
 @pytest.mark.parametrize("key,value", [
-    ("sigma", True), ("mu", "a"), ("mu", float("nan"))])
+    ("sigma", True), ("mu", "a"), ("mu", float("nan")), ("scale", 1.0)])
 def test_bad_prior_file_entries_exit_config(tmp_path, capsys, key, value):
     shipped = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src", "copreg", "data",
@@ -445,6 +446,129 @@ def test_bad_prior_file_entries_exit_config(tmp_path, capsys, key, value):
     assert main(["lfi-simulate", "--config", cfg, "--out", str(out),
                  "--seed", "1"]) == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    '{"params": [1, 2]}', '{"params": {"name": "a"}}', '{"params": []}',
+    '{"priors": []}', '[]', '{"params": [', '{"params": [{"name": "a", '
+    '"dist": "lognormal", "mu": 0.0}]}'])
+def test_bad_prior_files_exit_config(tmp_path, capsys, text):
+    prior_file = tmp_path / "prior.json"
+    prior_file.write_text(text)
+    cfg = write_config(tmp_path / "sim.json", {
+        "simulator": "blowfly", "prior_file": str(prior_file), "n_total": 4,
+        "series_length": 20})
+    out = tmp_path / "out"
+    assert main(["lfi-simulate", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def toy_bundle(tmp_path_factory, dataset_csv):
+    root = tmp_path_factory.mktemp("toy_bundle")
+    cfg = write_config(root / "fit.json", {"dataset": dataset_csv, **FAST_FIT})
+    assert main(["fit", "--config", cfg, "--out", str(root / "bundle"),
+                 "--seed", "2"]) == 0
+    return root / "bundle"
+
+
+def _corrupt_table(path, kind):
+    """Rewrite the CSV at ``path`` under its own header: a non-numeric
+    cell, a short row, or no rows at all."""
+    header = path.read_text().splitlines()[0]
+    width = header.count(",") + 1
+    good = ",".join(["1"] * width)
+    body = {"cell": [good, ",".join(["1"] * (width - 1) + ["zz"])],
+            "ragged": [good, ",".join(["1"] * (width - 1))],
+            "header_only": []}[kind]
+    path.write_text("\n".join([header, *body]) + "\n")
+
+
+def _table_command(tmp_path, task, toy_bundle, dataset_csv):
+    """(argv, the table that ``task`` reads) for a ``task`` whose input
+    table is corrupted before it runs."""
+    out = str(tmp_path / "out")
+    if task == "fit":
+        table = tmp_path / "data.csv"
+        shutil.copy(dataset_csv, table)
+        cfg = {"dataset": str(table), **FAST_FIT}
+    elif task == "predict":
+        bundle = tmp_path / "bundle"
+        shutil.copytree(toy_bundle, bundle)
+        table = bundle / "draws.csv"
+        cfg = {"bundle": str(bundle), "dataset": dataset_csv}
+    else:
+        data = tmp_path / "data"
+        data.mkdir()
+        table = data / ("train.csv" if task == "lfi-fit" else "test.csv")
+        table.write_text(",".join([f"rho_{j + 1}" for j in range(6)]
+                                  + [f"d_{t + 1}" for t in range(20)]) + "\n")
+        cfg = {"simulator": "blowfly", "data_dir": str(data),
+               "fit_dir": str(tmp_path / "no_fit")}
+    return ["--config", write_config(tmp_path / "cfg.json", cfg), "--out",
+            out, "--seed", "1"], table
+
+
+@pytest.mark.parametrize("kind", ["cell", "ragged", "header_only"])
+@pytest.mark.parametrize("task", ["fit", "lfi-fit", "lfi-score", "predict"])
+def test_malformed_input_tables_exit_data(tmp_path, capsys, toy_bundle,
+                                          dataset_csv, task, kind):
+    argv, table = _table_command(tmp_path, task, toy_bundle, dataset_csv)
+    _corrupt_table(table, kind)
+    assert main([task, *argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert str(table) in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("name,edit", [
+    ("margin.json", lambda text: text[:-1]),
+    ("margin.json", lambda text: "{}"),
+    ("network.json", lambda text: json.dumps(
+        {k: v for k, v in json.loads(text).items() if k != "input_shape"})),
+    ("network.json", lambda text: "[]"),
+    ("scaler.json", lambda text: '{"lo": [0.0]}'),
+    ("draws_header.json", lambda text: '{"variant": "ridge"}'),
+    ("draws_header.json", lambda text: "not json"),
+    ("manifest.json", lambda text: "[1]"),
+])
+def test_malformed_bundle_files_exit_data(tmp_path, capsys, toy_bundle,
+                                          dataset_csv, name, edit):
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    path = bundle / name
+    path.write_text(edit(path.read_text()))
+    cfg = write_config(tmp_path / "pred.json",
+                       {"bundle": str(bundle), "dataset": dataset_csv})
+    out = tmp_path / "out"
+    assert main(["predict", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and name in err
+    assert not out.exists()
+
+
+def test_lfi_fit_rejects_a_prior_that_does_not_match_the_data(tmp_path,
+                                                              capsys):
+    # blowfly training data (6 parameters) under the voles prior (9)
+    cfg = write_config(tmp_path / "blowfly.json", {
+        "simulator": "blowfly", "series_length": 20, "n_total": 10,
+        "lfi_fit": {"kernel_sizes": [5, 2]}})
+    data = tmp_path / "data"
+    assert main(["lfi-simulate", "--config", cfg, "--out", str(data),
+                 "--seed", "1"]) == 0
+    voles = write_config(tmp_path / "voles.json", {
+        "simulator": "voles", "data_dir": str(data),
+        "lfi_fit": {"kernel_sizes": [5, 2]}})
+    out = tmp_path / "fit"
+    assert main(["lfi-fit", "--config", voles, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "6" in err and "9" in err
     assert not out.exists()
 
 
