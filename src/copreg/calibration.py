@@ -54,8 +54,8 @@ def log_score(logpdf_at_truth):
 
 def kfold_split(n, folds, seed):
     """Deterministic partition: every index in exactly one fold."""
-    if folds < 2:
-        raise DomainError("need at least 2 folds")
+    if not 2 <= folds <= n:
+        raise DomainError(f"need 2 to {n} folds for {n} rows, got {folds}")
     perm = np.random.default_rng(seed).permutation(n)
     return [np.sort(chunk) for chunk in np.array_split(perm, folds)]
 

@@ -42,13 +42,12 @@ from .files import load_json, load_table, write_json
 from .lfi import (
     LfiFitConfig,
     SimBatch,
-    blowfly_model,
+    SimModel,
     composite_scores,
     eval_simulation,
     generate_training,
     lfi_fit,
     marginal_calibration_distance,
-    voles_model,
 )
 from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
@@ -141,13 +140,24 @@ def cmd_fit(cfg, out_dir, seed):
     return EXIT_OK
 
 
+def _bundle_table(cfg, task, fit, response):
+    """The ``dataset`` table of ``predict`` (its first p columns, the
+    bundle's features) or, with ``response``, of ``calibrate`` (exactly the
+    p features and then the response)."""
+    path = _require(cfg, "dataset", task)
+    _, table = load_table(path)
+    p, width = fit.network.input_shape[0], table.shape[1]
+    if width < p or (response and width != p + 1):
+        raise DataError(f"{path} has {width} columns, but the bundle needs "
+                        f"{p + 1 if response else f'at least {p}'}")
+    return table[:, :p + response]
+
+
 def cmd_predict(cfg, out_dir, seed):
     grid_size = checked_int("grid_size", cfg.get("grid_size", GRID_SIZE), 1)
     bundle_dir = _require(cfg, "bundle", "predict")
     fit = CopulaRegression.load(bundle_dir)
-    header, table = load_table(_require(cfg, "dataset", "predict"))
-    p = fit.network.input_shape[0]
-    x = table[:, :p]
+    x = _bundle_table(cfg, "predict", fit, response=False)
     os.makedirs(out_dir, exist_ok=True)
     export_density_csv(fit.predictive, x, out_dir, num=grid_size)
     write_manifest(out_dir, _record(cfg, seed, "predict"))
@@ -166,8 +176,11 @@ def cmd_calibrate(cfg, out_dir, seed):
                 "cannot refit its model; set 'folds' to 0 or 1 for "
                 "in-sample diagnostics")
         refit_options = _tabular_options(fit.meta["config"], seed)
-    header, table = load_table(_require(cfg, "dataset", "calibrate"))
+    table = _bundle_table(cfg, "calibrate", fit, response=True)
     x, y = table[:, :-1], table[:, -1]
+    if folds > y.size:
+        raise DataError(f"{cfg['dataset']} has {y.size} rows, fewer than "
+                        f"the {folds} folds")
     pm = fit.predictive
 
     u = predict_cdf_at(pm, x, y)
@@ -207,19 +220,12 @@ def cmd_calibrate(cfg, out_dir, seed):
 
 
 def _sim_model(cfg):
-    name = _require(cfg, "simulator", "lfi")
-    prior = None
-    if cfg.get("prior_file"):
-        prior = PriorSpec.load(cfg["prior_file"])
-    opts = {}
-    if cfg.get("series_length") is not None:
-        opts["series_length"] = checked_int("series_length",
-                                            cfg["series_length"], 1)
-    if name == "blowfly":
-        return blowfly_model(prior=prior, **opts)
-    if name == "voles":
-        return voles_model(prior=prior, **opts)
-    raise ConfigError(f"unknown simulator {name!r}")
+    """The config's simulator, under its ``prior_file`` if one is set."""
+    length = cfg.get("series_length")
+    return SimModel(
+        _require(cfg, "simulator", "lfi"),
+        PriorSpec.load(cfg["prior_file"]) if cfg.get("prior_file") else None,
+        None if length is None else checked_int("series_length", length, 1))
 
 
 def _lfi_config(cfg):

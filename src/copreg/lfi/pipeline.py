@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,7 @@ from ..predict import (
     predict_cdf_at,
     predictive_expectation,
 )
-from .priors import ParamPrior, PriorSpec, default_blowfly_prior, default_voles_prior
+from .priors import ParamPrior, PriorSpec, shipped_prior
 from .simulators import (
     BlowflyParams,
     VolesParams,
@@ -49,43 +50,49 @@ from .simulators import (
 
 logger = logging.getLogger(__name__)
 
-SIM_NAMES = ("blowfly", "voles")
-
 #: Voles units integrated together by :func:`generate_training`; bounds its
 #: (steps, units) matrix of normal draws.
 VOLES_BLOCK = 256
 
+#: The one lookup of a simulator name: its parameter record, whose ``names``
+#: a prior must list in that order, and its default series length.
+SIMULATORS = {"blowfly": (BlowflyParams, 275), "voles": (VolesParams, 90)}
+
 
 @dataclass
 class SimModel:
-    """A named simulator with its prior and series length."""
+    """A named simulator with its prior, by default the shipped
+    ``data/<name>_prior.json``, and its series length."""
 
     name: str
-    prior: PriorSpec
-    series_length: int
+    prior: PriorSpec | None = None
+    series_length: int | None = None
 
     def __post_init__(self):
-        if self.name not in SIM_NAMES:
+        if not (isinstance(self.name, str) and self.name in SIMULATORS):
             raise ConfigError(f"unknown simulator {self.name!r}")
+        record, length = SIMULATORS[self.name]
+        self.prior = self.prior or shipped_prior(self.name)
+        if self.series_length is None:
+            self.series_length = length
+        if tuple(self.prior.names) != record.names:
+            raise ConfigError(f"a {self.name} prior lists "
+                              f"{', '.join(record.names)} in this order, "
+                              f"not {', '.join(self.prior.names)}")
 
     def simulate(self, rho_row, rng, reps=None):
         """Series at one parameter row."""
-        if self.name == "blowfly":
-            params = BlowflyParams.from_array(rho_row)
-            if reps is None:
-                return simulate_blowfly(params, self.series_length, rng)
-            return simulate_blowfly_batch(params, self.series_length, reps,
-                                          rng)
-        params = VolesParams.from_array(rho_row)
-        return simulate_voles(params, self.series_length, rng, reps=reps)
+        params = SIMULATORS[self.name][0].from_array(rho_row)
+        if self.name == "voles":
+            return simulate_voles(params, self.series_length, rng, reps=reps)
+        if reps is None:
+            return simulate_blowfly(params, self.series_length, rng)
+        return simulate_blowfly_batch(params, self.series_length, reps, rng)
 
 
-def blowfly_model(prior=None, series_length=275) -> SimModel:
-    return SimModel("blowfly", prior or default_blowfly_prior(), series_length)
-
-
-def voles_model(prior=None, series_length=90) -> SimModel:
-    return SimModel("voles", prior or default_voles_prior(), series_length)
+#: ``SimModel(name, prior=None, series_length=None)`` of each simulator.
+blowfly_model = partial(SimModel, "blowfly")
+voles_model = partial(SimModel, "voles")
 
 
 @dataclass

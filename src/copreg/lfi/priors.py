@@ -1,15 +1,14 @@
-"""Configurable parameter priors for the simulators, read from JSON.
+"""Parameter priors for the simulators, read from JSON.
 
-Reference prior tables for these models are not distributed with the
-library; the shipped defaults are documented stand-ins chosen to generate
-stable, informative series at desk scale.  Everything downstream treats the
-prior purely through this interface, so swapping in a different JSON file
-changes the experiment without code edits.
+The shipped priors, ``data/blowfly_prior.json`` and ``data/voles_prior.json``,
+are documented stand-ins chosen to generate stable, informative series at
+desk scale; a ``prior_file`` swaps in another prior without code edits.
 """
 
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,28 +94,17 @@ class PriorSpec:
             raise ConfigError(f"prior file {path}: {exc}") from None
 
 
+def shipped_prior(simulator) -> PriorSpec:
+    """The prior shipped for ``simulator``, ``data/<simulator>_prior.json``."""
+    return PriorSpec.load(os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "data", f"{simulator}_prior.json"))
+
+
 def default_blowfly_prior() -> PriorSpec:
     """Stand-in lognormal priors giving stable oscillatory count series."""
-    return PriorSpec(params=[
-        ParamPrior("survival_rate", "lognormal", np.log(0.2), 0.4),
-        ParamPrior("recruitment_scale", "lognormal", np.log(5.0), 0.5),
-        ParamPrior("scaling_pop", "lognormal", np.log(300.0), 0.5),
-        ParamPrior("recruit_noise_var", "lognormal", np.log(0.2), 0.5),
-        ParamPrior("delay", "lognormal", np.log(12.0), 0.25, integer=True),
-        ParamPrior("survival_noise_var", "lognormal", np.log(0.2), 0.5),
-    ])
+    return shipped_prior("blowfly")
 
 
 def default_voles_prior() -> PriorSpec:
     """Stand-in priors around dimensionless values with seasonal cycling."""
-    return PriorSpec(params=[
-        ParamPrior("prey_growth", "lognormal", np.log(5.0), 0.3),
-        ParamPrior("season_amplitude", "logitnormal", 0.0, 0.8),
-        ParamPrior("gen_pred_max", "lognormal", np.log(0.1), 0.5),
-        ParamPrior("gen_pred_scale", "lognormal", np.log(0.1), 0.4),
-        ParamPrior("attack_rate", "lognormal", np.log(10.0), 0.4),
-        ParamPrior("interference", "lognormal", np.log(0.06), 0.5),
-        ParamPrior("pred_growth", "lognormal", np.log(1.2), 0.3),
-        ParamPrior("noise_scale", "lognormal", np.log(1.0), 0.4),
-        ParamPrior("obs_rate", "lognormal", np.log(80.0), 0.4),
-    ])
+    return shipped_prior("voles")

@@ -48,24 +48,19 @@ class BlowflyParams:
     survival_noise_var: float   # variance of the unit-mean survival shock
 
     def __post_init__(self):
-        vals = (self.survival_rate, self.recruitment_scale, self.scaling_pop,
-                self.recruit_noise_var, self.survival_noise_var)
-        if any(v <= 0 for v in vals):
+        if any(getattr(self, name) <= 0 for name in self.names):
             raise DomainError("blowfly parameters must be positive")
-        if int(self.delay) != self.delay or self.delay < 1:
+        if int(self.delay) != self.delay:
             raise DomainError("delay must be an integer >= 1")
+
+    #: The parameters in prior order: column j of a prior row is names[j].
+    names = ("survival_rate", "recruitment_scale", "scaling_pop",
+             "recruit_noise_var", "delay", "survival_noise_var")
 
     @classmethod
     def from_array(cls, values):
-        return cls(survival_rate=float(values[0]),
-                   recruitment_scale=float(values[1]),
-                   scaling_pop=float(values[2]),
-                   recruit_noise_var=float(values[3]),
-                   delay=int(round(values[4])),
-                   survival_noise_var=float(values[5]))
-
-    names = ("survival_rate", "recruitment_scale", "scaling_pop",
-             "recruit_noise_var", "delay", "survival_noise_var")
+        row = dict(zip(cls.names, map(float, values), strict=True))
+        return cls(**{**row, "delay": int(round(row["delay"]))})
 
 
 def _gamma_unit_mean(rng, variance, size=None):
@@ -171,23 +166,22 @@ class VolesParams:
     obs_rate: float          # phi: Poisson count rate per unit prey
 
     def __post_init__(self):
-        vals = (self.prey_growth, self.gen_pred_max, self.gen_pred_scale,
-                self.attack_rate, self.interference, self.pred_growth,
-                self.obs_rate)
-        if any(v <= 0 for v in vals):
+        positive = set(self.names) - {"season_amplitude", "noise_scale"}
+        if any(getattr(self, name) <= 0 for name in positive):
             raise DomainError("predator-prey parameters must be positive")
         if not 0.0 <= self.season_amplitude < 1.0:
             raise DomainError("seasonal amplitude must lie in [0, 1)")
         if self.noise_scale < 0.0:
             raise DomainError("noise scale must be nonnegative")
 
-    @classmethod
-    def from_array(cls, values):
-        return cls(*[float(v) for v in values])
-
+    #: The parameters in prior order: column j of a prior row is names[j].
     names = ("prey_growth", "season_amplitude", "gen_pred_max",
              "gen_pred_scale", "attack_rate", "interference", "pred_growth",
              "noise_scale", "obs_rate")
+
+    @classmethod
+    def from_array(cls, values):
+        return cls(**dict(zip(cls.names, map(float, values), strict=True)))
 
     @property
     def gen_pred_scale_sq(self):

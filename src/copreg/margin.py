@@ -246,7 +246,8 @@ class MarginModel:
         return model
 
     def grid_csv(self, path, num=512) -> None:
-        """Write a two-column (y, pdf) grid plus a (y, cdf) companion block."""
+        """Write one (y, pdf, cdf) table on ``num`` points spanning the
+        1e-4 to 1 - 1e-4 quantiles."""
         grid = np.linspace(*self.quantile([1e-4, 1.0 - 1e-4]), num)
         write_csv(path, ("y", "pdf", "cdf"),
                   np.column_stack([grid, self.pdf(grid), self.cdf(grid)]))

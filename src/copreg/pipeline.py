@@ -48,7 +48,10 @@ class FeatureScaler:
         return cls(lo=lo, span=span)
 
     def transform(self, x):
-        return (np.asarray(x, dtype=float) - self.lo) / self.span
+        x = np.asarray(x, dtype=float)
+        if x.shape[-1:] != self.lo.shape:
+            raise ShapeError(f"{x.shape} input for {self.lo.size} columns")
+        return (x - self.lo) / self.span
 
     def to_json(self):
         return json.dumps({"lo": self.lo.tolist(), "span": self.span.tolist()},

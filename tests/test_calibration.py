@@ -124,6 +124,13 @@ def test_kfold_requires_two_folds():
         kfold_split(10, 1, seed=0)
 
 
+def test_kfold_split_refuses_more_folds_than_rows():
+    # 100 folds of 60 rows would leave 40 folds empty
+    with pytest.raises(DomainError):
+        kfold_split(60, 100, seed=0)
+    assert [part.size for part in kfold_split(3, 3, seed=0)] == [1, 1, 1]
+
+
 # -- isotonic recalibration --------------------------------------------------------------
 
 

@@ -466,6 +466,51 @@ def test_bad_prior_files_exit_config(tmp_path, capsys, text):
     assert not out.exists()
 
 
+def _shipped_prior(simulator):
+    return os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src", "copreg", "data",
+        f"{simulator}_prior.json")
+
+
+BLOWFLY_PARAMS = ("survival_rate", "recruitment_scale", "scaling_pop",
+                  "recruit_noise_var", "delay", "survival_noise_var")
+
+
+@pytest.mark.parametrize("case", ["short", "swapped", "voles"])
+@pytest.mark.parametrize("task", ["lfi-simulate", "lfi"])
+def test_a_prior_off_the_simulator_parameters_exits_config(tmp_path, capsys,
+                                                           task, case):
+    # A prior row maps to the simulator's parameters by position.  A prior
+    # one entry short ended in an IndexError; one with survival_rate and
+    # recruit_noise_var swapped, or the voles prior, ran on with every
+    # parameter mis-mapped.
+    prior_file = _shipped_prior("blowfly")
+    if case == "voles":
+        prior_file = _shipped_prior("voles")
+    else:
+        with open(prior_file) as fh:
+            prior = json.load(fh)
+        params = prior["params"]
+        if case == "short":
+            del params[-1]
+        else:
+            params[0], params[3] = params[3], params[0]
+        prior_file = write_config(tmp_path / "prior.json", prior)
+    cfg = write_config(tmp_path / "sim.json", {
+        "simulator": "blowfly", "prior_file": prior_file, "n_total": 8,
+        "series_length": 20, "score_reps": 5,
+        "lfi_fit": {"kernel_sizes": [5, 2], "filter_counts": [2, 2],
+                    "dense_width": 4, "epochs": 2, "batch_size": 4,
+                    "variant": "ridge", "burnin": 5, "draws": 5}})
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ")
+    assert ", ".join(BLOWFLY_PARAMS) in err
+    assert not (out / "train.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def toy_bundle(tmp_path_factory, dataset_csv):
     root = tmp_path_factory.mktemp("toy_bundle")
@@ -865,3 +910,86 @@ def test_commands_never_import_scipy_stats(tmp_path, dataset_csv):
         env={**os.environ, "PYTHONPATH": src}, capture_output=True,
         text=True, timeout=300)
     assert done.returncode == 0, done.stderr
+
+
+def _write_rows(path, names, rows):
+    np.savetxt(path, rows, delimiter=",", header=",".join(names),
+               comments="", fmt="%.17g")
+    return str(path)
+
+
+@pytest.mark.parametrize("task,width", [
+    ("calibrate", 5), ("calibrate", 3), ("calibrate", 2), ("predict", 2),
+    ("predict", 1)])
+def test_a_table_that_does_not_fit_the_bundle_exits_data(
+        tmp_path, capsys, toy_bundle, task, width):
+    # The bundle takes 3 features: predict needs at least 3 columns and
+    # calibrate exactly 4.  A 1-feature table used to be broadcast over the
+    # scaler's 3 columns, and calibrate exited 0 with a wrong report.
+    rows = np.random.default_rng(width).uniform(-1.0, 1.0, size=(60, width))
+    rows[:, -1] += 2.0
+    data = _write_rows(tmp_path / "data.csv",
+                       [f"c{j + 1}" for j in range(width)], rows)
+    cfg = {"bundle": str(toy_bundle), "dataset": data, "grid_size": 32}
+    if task == "calibrate":
+        cfg["folds"] = 0
+    out = tmp_path / "out"
+    assert main([task, "--config", write_config(tmp_path / "cfg.json", cfg),
+                 "--out", str(out), "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    need = "needs 4" if task == "calibrate" else "needs at least 3"
+    assert err.startswith("data error: ") and data in err
+    assert f"has {width} columns" in err and need in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_predict_on_series_shorter_than_the_bundle_input_exits_data(
+        tmp_path, capsys):
+    # a convolutional bundle fitted on 20-step series, read at 10 steps
+    cfg = write_config(tmp_path / "lfi.json", {
+        "simulator": "blowfly", "series_length": 20, "n_total": 12,
+        "split": 0.75, "data_dir": str(tmp_path / "data"),
+        "lfi_fit": {"kernel_sizes": [5, 2], "filter_counts": [2, 2],
+                    "dense_width": 4, "epochs": 2, "batch_size": 4,
+                    "variant": "ridge", "burnin": 5, "draws": 5}})
+    for task, out in (("lfi-simulate", "data"), ("lfi-fit", "fit")):
+        assert main([task, "--config", cfg, "--out", str(tmp_path / out),
+                     "--seed", "3"]) == 0, task
+    _, train = load_table(str(tmp_path / "data" / "train.csv"))
+    observed = _write_rows(tmp_path / "observed.csv",
+                           [f"d_{t + 1}" for t in range(10)], train[:2, 6:16])
+    pred_cfg = write_config(tmp_path / "pred.json", {
+        "bundle": str(tmp_path / "fit" / "param_delay"),
+        "dataset": observed, "grid_size": 32})
+    out = tmp_path / "pred"
+    assert main(["predict", "--config", pred_cfg, "--out", str(out),
+                 "--seed", "3"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and observed in err
+    assert "has 10 columns" in err and "needs at least 20" in err
+    assert not out.exists()
+
+
+def test_calibrate_with_more_folds_than_rows_exits_data_before_refitting(
+        tmp_path, capsys, toy_bundle, dataset_csv, monkeypatch):
+    # 100 folds of 60 rows left 40 folds empty: each refitted the model on
+    # all 60 rows, and scores.json got "mls_kfold": NaN, which is not JSON
+    import copreg.cli as cli
+
+    def refit(*args, **kwargs):
+        raise AssertionError("calibrate refitted the model")
+
+    monkeypatch.setattr(cli, "fit_copula_regression", refit)
+    names, rows = load_table(dataset_csv)
+    data = _write_rows(tmp_path / "sixty.csv", names, rows[:60])
+    cfg = write_config(tmp_path / "cal.json", {
+        "bundle": str(toy_bundle), "dataset": data, "folds": 100})
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and data in err
+    assert "60 rows" in err and "100 folds" in err
+    assert not out.exists()
+

@@ -5,8 +5,12 @@ import pytest
 
 from copreg.errors import ConfigError
 from copreg.lfi import (
+    BlowflyParams,
     LfiFitConfig,
+    PriorSpec,
     SimBatch,
+    SimModel,
+    VolesParams,
     blowfly_model,
     eval_simulation,
     fit_all_parameters,
@@ -56,6 +60,25 @@ def test_generate_training_paper_scale_split():
     model = blowfly_model(series_length=30)
     train, test = generate_training(model, 10_000, split=0.8, seed=0)
     assert train.n == 8_000 and test.n == 2_000
+
+
+@pytest.mark.parametrize("name,record", [("blowfly", BlowflyParams),
+                                         ("voles", VolesParams)])
+def test_a_prior_lists_its_simulator_parameters_in_record_order(name,
+                                                                record):
+    # without a prior, a simulator runs under its shipped one, whose
+    # entries are the record's names; a prior row maps to them by position
+    model = SimModel(name)
+    assert tuple(model.prior.names) == record.names
+    row = model.prior.sample_matrix(np.random.default_rng(1), 1)[0]
+    params = record.from_array(row)
+    assert [getattr(params, n) for n in record.names] == [
+        round(v) if n == "delay" else v for n, v in zip(record.names, row)]
+    other = "voles" if name == "blowfly" else "blowfly"
+    for prior in (PriorSpec(model.prior.params[:-1]),
+                  PriorSpec(model.prior.params[::-1]), SimModel(other).prior):
+        with pytest.raises(ConfigError, match=", ".join(record.names)):
+            SimModel(name, prior)
 
 
 def test_shipped_prior_files_load(tmp_path):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from copreg.calibration import probability_calibration
-from copreg.errors import DataError, DomainError
+from copreg.errors import DataError, DomainError, ShapeError
 from copreg.nnet import TrainConfig, build_ffn
 from copreg.pipeline import (
     CopulaRegression,
@@ -74,6 +74,14 @@ def test_feature_scaler_continuous_vs_indicator():
     np.testing.assert_array_equal(out[:, 1], x[:, 1])
     back = FeatureScaler.from_json(sc.to_json())
     np.testing.assert_array_equal(back.transform(x), out)
+
+
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_feature_scaler_rejects_inputs_of_another_width(width):
+    # one column used to be broadcast over all three, silently
+    sc = FeatureScaler.fit(np.random.default_rng(0).uniform(size=(20, 3)))
+    with pytest.raises(ShapeError):
+        sc.transform(np.ones((5, width)))
 
 
 def test_bundle_round_trip(tmp_path, small_fit):
