@@ -29,13 +29,10 @@ from .calibration import (
 from .copula import check_sampler
 from .errors import (
     ConfigError,
+    CopregError,
     DataError,
-    DivergenceError,
     DomainError,
-    NumericalError,
     ShapeError,
-    SimulationDivergedError,
-    checked_float,
     checked_int,
 )
 from .files import load_json, load_table, write_json
@@ -51,6 +48,7 @@ from .lfi import (
 )
 from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
+from .lfi.scoring import REPS, TRAIN_FRAC, score_options
 from .nnet import Dropout, TrainConfig, build_ffn
 from .pipeline import (
     CopulaRegression,
@@ -89,7 +87,7 @@ def _options(factory, opts, key, **fixed):
     invalid options a ConfigError."""
     try:
         return factory(**{**opts, **fixed})
-    except (TypeError, ValueError, DomainError) as exc:
+    except (TypeError, ValueError, DomainError, ShapeError) as exc:
         raise ConfigError(f"invalid {key!r} options: {exc}") from None
 
 
@@ -140,17 +138,27 @@ def cmd_fit(cfg, out_dir, seed):
     return EXIT_OK
 
 
+def _check_width(source, width, fit, extra=None, bundle="the bundle"):
+    """DataError naming ``source`` unless its ``width`` columns are what
+    ``fit`` reads, its p inputs (features, or the steps of a series): at
+    least p, of which ``predict`` reads the first p, or with ``extra``
+    exactly p + ``extra`` (``calibrate``'s response, 1; ``lfi-score``'s
+    series, 0)."""
+    p = fit.network.input_shape[0]
+    if width < p or (extra is not None and width != p + extra):
+        need = f"at least {p}" if extra is None else p + extra
+        raise DataError(f"{source} has {width} columns, but {bundle} needs "
+                        f"{need}")
+
+
 def _bundle_table(cfg, task, fit, response):
     """The ``dataset`` table of ``predict`` (its first p columns, the
     bundle's features) or, with ``response``, of ``calibrate`` (exactly the
     p features and then the response)."""
     path = _require(cfg, "dataset", task)
     _, table = load_table(path)
-    p, width = fit.network.input_shape[0], table.shape[1]
-    if width < p or (response and width != p + 1):
-        raise DataError(f"{path} has {width} columns, but the bundle needs "
-                        f"{p + 1 if response else f'at least {p}'}")
-    return table[:, :p + response]
+    _check_width(path, table.shape[1], fit, 1 if response else None)
+    return table[:, :fit.network.input_shape[0] + response]
 
 
 def cmd_predict(cfg, out_dir, seed):
@@ -228,23 +236,22 @@ def _sim_model(cfg):
         None if length is None else checked_int("series_length", length, 1))
 
 
-def _lfi_config(cfg):
-    return _options(LfiFitConfig, cfg.get("lfi_fit", {}), "lfi_fit")
+def _lfi_fit_config(cfg, series_length=None):
+    """The checked ``lfi_fit`` options of a config, whose network must also
+    fit series of ``series_length`` when that is given."""
+    lfi_cfg = _options(LfiFitConfig, cfg.get("lfi_fit", {}), "lfi_fit")
+    if series_length is not None:
+        _options(lfi_cfg.network, {}, "lfi_fit", series_length=series_length)
+    return lfi_cfg
 
 
-def _check_lfi_network(lfi_cfg, series_length):
-    """Reject fit options whose network does not fit the series length."""
-    try:
-        lfi_cfg.network(series_length)
-    except ShapeError as exc:
-        raise ConfigError(f"invalid 'lfi_fit' options: {exc}") from None
-
-
-def _score_options(cfg):
-    """The checked ``composite_scores`` options of an ``lfi-score`` config."""
-    return {"train_frac": checked_float("train_frac",
-                                        cfg.get("train_frac", 0.8), 0.0, 1.0),
-            "reps": checked_int("score_reps", cfg.get("score_reps", 1000), 1)}
+def _score_options(cfg, series_length=None):
+    """The ``composite_scores`` options of a config, whose ``score_reps`` is
+    the scorer's ``reps``; a ConfigError unless it can score with them, on a
+    series of ``series_length`` when that is given."""
+    return score_options(cfg.get("train_frac", TRAIN_FRAC),
+                         cfg.get("score_reps", REPS), series_length,
+                         error=ConfigError, reps_key="score_reps")
 
 
 def cmd_lfi_simulate(cfg, out_dir, seed):
@@ -262,11 +269,11 @@ def cmd_lfi_simulate(cfg, out_dir, seed):
 
 def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     model = _sim_model(cfg)
-    lfi_cfg = _lfi_config(cfg)
+    _lfi_fit_config(cfg)  # bad options exit before any data is read
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     train_path = os.path.join(data_dir, "train.csv")
     train_b = SimBatch.load_csv(train_path, prior=model.prior)
-    _check_lfi_network(lfi_cfg, train_b.series_length)
+    lfi_cfg = _lfi_fit_config(cfg, train_b.series_length)
     os.makedirs(out_dir, exist_ok=True)
     for j, name in enumerate(model.prior.names):
         bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=param_seed(seed, j),
@@ -278,18 +285,27 @@ def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
 
 def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
     model = _sim_model(cfg)
-    score_opts = _score_options(cfg)
+    _score_options(cfg)  # bad options exit before any data is read
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     fit_dir = fit_dir or cfg.get("fit_dir", out_dir)
-    test_b = SimBatch.load_csv(os.path.join(data_dir, "test.csv"),
-                               prior=model.prior)
+    test_path = os.path.join(data_dir, "test.csv")
+    test_b = SimBatch.load_csv(test_path, prior=model.prior)
+    observed, observed_path = test_b.series[0].astype(float), test_path
+    if cfg.get("observed_series"):
+        observed_path = cfg["observed_series"]
+        observed = load_table(observed_path)[1][0]
+    score_opts = _score_options(cfg, observed.size)
     models = []
     for prior in model.prior.params:
-        bundle = CopulaRegression.load(os.path.join(fit_dir,
-                                                    f"param_{prior.name}"))
+        name = f"param_{prior.name}"
+        bundle = CopulaRegression.load(os.path.join(fit_dir, name))
         if bundle.meta.get("axis") != prior.axis:
-            raise DataError(f"param_{prior.name} was not fitted on its "
+            raise DataError(f"{name} was not fitted on its "
                             f"prior's {prior.axis} axis")
+        _check_width(f"the series of {test_path}", test_b.series_length,
+                     bundle, 0, name)
+        _check_width(f"the series of {observed_path}", observed.size,
+                     bundle, 0, name)
         models.append(bundle.predictive)
 
     table = eval_simulation(models, test_b)
@@ -301,10 +317,6 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
         models[j], test_b, prior.to_axis(reference[:, j]))
         for j, prior in enumerate(model.prior.params)}
 
-    observed = test_b.series[0].astype(float)
-    if cfg.get("observed_series"):
-        _, obs_table = load_table(cfg["observed_series"])
-        observed = obs_table[0]
     rho_hat = np.array([
         prior.rounded(predictive_expectation(models[j], observed[None, :],
                                              func=prior.from_axis)[0])
@@ -329,8 +341,8 @@ def cmd_lfi(cfg, out_dir, seed):
     records this run, not its last step."""
     model = _sim_model(cfg)
     # reject bad fit and score options before simulating
-    _check_lfi_network(_lfi_config(cfg), model.series_length)
-    _score_options(cfg)
+    _lfi_fit_config(cfg, model.series_length)
+    _score_options(cfg, model.series_length)
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)
     cmd_lfi_score(cfg, out_dir, seed, data_dir=out_dir, fit_dir=out_dir)
@@ -383,8 +395,7 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (NumericalError, DivergenceError, SimulationDivergedError,
-            DomainError, ShapeError) as exc:
+    except CopregError as exc:
         print(f"numerical failure ({args.task}): {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,10 +16,6 @@ class DomainError(CopregError):
     """Scalar argument outside its mathematical domain (e.g. u not in (0,1))."""
 
 
-class DegenerateMarginError(CopregError):
-    """Response sample carries no spread; a margin cannot be estimated."""
-
-
 class DivergenceError(CopregError):
     """Network training produced a non-finite loss."""
 
@@ -44,6 +40,10 @@ class DataError(CopregError):
     """Malformed or missing input data."""
 
 
+class DegenerateMarginError(DataError):
+    """Response sample too small or without spread; no margin can be fit."""
+
+
 def checked_int(name, value, low, error=ConfigError):
     """``value`` of option ``name`` as an int; ``error`` unless it is a
     whole number >= ``low``.  Integral floats such as 3.0 pass; bools,
@@ -56,14 +56,14 @@ def checked_int(name, value, low, error=ConfigError):
     return int(value)
 
 
-def checked_float(name, value, low, high=math.inf, include_low=False):
-    """``value`` of option ``name`` as a float; ConfigError unless it is a
+def checked_float(name, value, low, high=math.inf, include_low=False,
+                  error=ConfigError):
+    """``value`` of option ``name`` as a float; ``error`` unless it is a
     number in (``low``, ``high``), or in [``low``, ``high``) with
     ``include_low``.  Bools, strings and nan do not pass."""
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
             and (low <= value if include_low else low < value)
             and value < high):
         return float(value)
-    raise ConfigError(f"{name!r} must be a number in "
-                      f"{'[' if include_low else '('}{low}, {high}), "
-                      f"got {value!r}")
+    raise error(f"{name!r} must be a number in "
+                f"{'[' if include_low else '('}{low}, {high}), got {value!r}")

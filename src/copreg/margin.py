@@ -79,20 +79,18 @@ class MarginModel:
         Sorted copy of the fitting sample.
     bandwidth : float
         Common kernel standard deviation, > 0.
-    eps_f : float
-        Clamp width applied to CDF values before the normal quantile map.
+
+    CDF values are clamped to [EPS_F, 1 - EPS_F] before the normal quantile
+    map.
     """
 
     sample: np.ndarray
     bandwidth: float
-    eps_f: float = EPS_F
 
     def __post_init__(self):
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
         if self.bandwidth <= 0:
             raise DomainError("bandwidth must be positive")
-        if not 0 < self.eps_f <= 0.01:
-            raise DomainError("eps_f must lie in (0, 0.01]")
 
     # -- density / distribution ------------------------------------------
 
@@ -226,7 +224,7 @@ class MarginModel:
             "version": 1,
             "kind": "gaussian-kde-margin",
             "bandwidth": self.bandwidth,
-            "eps_f": self.eps_f,
+            "eps_f": EPS_F,
             "sample_sha256": hashlib.sha256(self.sample.tobytes()).hexdigest(),
             "sample": self.sample.tolist(),
         }
@@ -235,10 +233,12 @@ class MarginModel:
     @classmethod
     def from_json(cls, text: str) -> "MarginModel":
         payload = json.loads(text)
+        if payload["eps_f"] != EPS_F:
+            raise DomainError(f"margin eps_f {payload['eps_f']!r} is not the "
+                              f"clamp width {EPS_F}")
         model = cls(
             sample=np.asarray(payload["sample"], dtype=float),
             bandwidth=float(payload["bandwidth"]),
-            eps_f=float(payload["eps_f"]),
         )
         digest = hashlib.sha256(model.sample.tobytes()).hexdigest()
         if digest != payload["sample_sha256"]:
@@ -400,7 +400,7 @@ def _lscv_costs(y, grid):
     return quad - 2.0 * fit
 
 
-def fit_kde(y, eps_f: float = EPS_F) -> MarginModel:
+def fit_kde(y) -> MarginModel:
     """Fit the margin: Gaussian KDE, bandwidth by grid-searched cross-validation.
 
     The search grid is 61 log-spaced bandwidths on [sd/(10 n), 10 sd], which
@@ -423,16 +423,16 @@ def fit_kde(y, eps_f: float = EPS_F) -> MarginModel:
     grid = np.exp(np.linspace(np.log(sd / (10.0 * n)), np.log(10.0 * sd),
                               BANDWIDTH_GRID_SIZE))
     best = int(np.argmin(_lscv_costs(y, grid)))
-    return MarginModel(sample=np.sort(y), bandwidth=float(grid[best]), eps_f=eps_f)
+    return MarginModel(sample=np.sort(y), bandwidth=float(grid[best]))
 
 
 def to_pseudo(margin: MarginModel, y) -> np.ndarray:
     """Standard-normal pseudo-responses ndtri(clamp(F(y))); always finite."""
-    return _pseudo(margin, margin.cdf(np.asarray(y, dtype=float)))
+    return _pseudo(margin.cdf(np.asarray(y, dtype=float)))
 
 
-def _pseudo(margin, cdf):
-    return ndtri(np.clip(cdf, margin.eps_f, 1.0 - margin.eps_f))
+def _pseudo(cdf):
+    return ndtri(np.clip(cdf, EPS_F, 1.0 - EPS_F))
 
 
 def _log_phi(t):
@@ -453,7 +453,7 @@ class PredictiveKernel:
         self.margin = margin
         self.y = np.asarray(y, dtype=float)
         cdf, logpdf = margin.cdf_logpdf(self.y)
-        self.z = _pseudo(margin, cdf)
+        self.z = _pseudo(cdf)
         self._log_ratio = logpdf - _log_phi(self.z)
 
     @classmethod
@@ -463,7 +463,7 @@ class PredictiveKernel:
         kernel = cls.__new__(cls)
         kernel.margin = margin
         kernel.y = np.asarray(y, dtype=float)
-        kernel.z = _pseudo(margin, margin._evaluate(kernel.y, logpdf=False)[0])
+        kernel.z = _pseudo(margin._evaluate(kernel.y, logpdf=False)[0])
         kernel._log_ratio = None
         return kernel
 

@@ -123,6 +123,16 @@ class CopulaRegression:
         scaler = None
         if os.path.exists(os.path.join(out_dir, "scaler.json")):
             scaler = parse(from_text(FeatureScaler.from_json), "scaler.json")
+        # the draws are the coefficients of the dense output layer
+        width = parse(lambda _: network.basis_width, "network.json")
+        if draws.q != width:
+            raise DataError(f"bundle {out_dir}: draws.csv has {draws.q} "
+                            "coefficients, but network.json has basis width "
+                            f"{width}")
+        if scaler is not None and scaler.lo.shape != network.input_shape:
+            raise DataError(f"bundle {out_dir}: scaler.json has "
+                            f"{scaler.lo.size} columns, but network.json "
+                            f"takes input {network.input_shape}")
         meta = parse(lambda path: load_json(path, DataError), "manifest.json")
         return cls(margin=margin, network=network, draws=draws, scaler=scaler,
                    meta=meta)

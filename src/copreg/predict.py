@@ -18,7 +18,7 @@ from scipy.special import ndtr, ndtri
 from .copula import PosteriorDraws, scaling_factors
 from .errors import DomainError, ShapeError
 from .files import write_csv
-from .margin import MarginModel, PredictiveKernel
+from .margin import EPS_F, MarginModel, PredictiveKernel
 
 #: Default single-density grids span this predictive quantile range.
 GRID_TAIL = 1e-4
@@ -26,8 +26,8 @@ GRID_TAIL = 1e-4
 #: Default number of grid points.
 GRID_SIZE = 512
 
-#: Feature rows evaluated together by the row-averaged paths; bounds their
-#: working memory at a few (ROW_CHUNK x grid) arrays.
+#: Feature rows evaluated together by the row-averaged paths on grids of up
+#: to GRID_SIZE points; see :func:`_row_block`.
 ROW_CHUNK = 512
 
 
@@ -160,12 +160,20 @@ def margin_grid(margin: MarginModel, num=GRID_SIZE, tail=GRID_TAIL):
     return np.linspace(*margin.quantile([tail, 1.0 - tail]), num)
 
 
+def _row_block(points):
+    """Feature rows evaluated together on a grid of ``points``: ROW_CHUNK up
+    to GRID_SIZE points, then fewer, so that a block's (rows x points)
+    arrays never exceed ROW_CHUNK x GRID_SIZE entries (at least one row)."""
+    return max(1, ROW_CHUNK * GRID_SIZE // max(points, GRID_SIZE))
+
+
 def _row_mean(pm, x_rows, kernel, law):
     """Mean over feature rows of ``law(kernel, f, s)`` on the kernel's grid."""
     f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
     total = np.zeros_like(kernel.z)
-    for start in range(0, f_all.size, ROW_CHUNK):
-        rows = slice(start, start + ROW_CHUNK)
+    block = _row_block(kernel.z.size)
+    for start in range(0, f_all.size, block):
+        rows = slice(start, start + block)
         total += law(kernel, f_all[rows, None], s_all[rows, None]).sum(axis=0)
     return total / f_all.size
 
@@ -213,7 +221,7 @@ class TransformCurve:
 
     def __init__(self, margin: MarginModel, z_span=6.5, num=4097):
         self.z_grid = np.linspace(-z_span, z_span, num)
-        u = np.clip(ndtr(self.z_grid), margin.eps_f, 1.0 - margin.eps_f)
+        u = np.clip(ndtr(self.z_grid), EPS_F, 1.0 - EPS_F)
         self.y_grid = np.atleast_1d(margin.quantile(u))
 
     def lookup(self, z):
@@ -231,7 +239,7 @@ def predictive_expectation(pm: PredictiveModel, x_rows, func=None):
     values = nodes if func is None else func(nodes)
     f_all, s_all = pm.location_scale(np.atleast_2d(x_rows))
     out = np.empty(f_all.size)
-    block = max(1, ROW_CHUNK * GRID_SIZE // y.size)
+    block = _row_block(y.size)
     for start in range(0, f_all.size, block):
         rows = slice(start, start + block)
         cdf = kernel.cdf(f_all[rows, None], s_all[rows, None])

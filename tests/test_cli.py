@@ -10,6 +10,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,9 @@ def test_bad_model_options_exit_config_before_loading_data(tmp_path, task,
     ("fit", {"train": {"eps": -1}}),
     ("fit", {"network": {"dropout": False}}),
     ("lfi-fit", {"lfi_fit": {"l2": True}}),
+    ("lfi-score", {"score_reps": 1}),
+    ("lfi", {"score_reps": 1}),
+    ("lfi", {"train_frac": 0.999}),  # no pair in 275 steps
 ])
 def test_bad_config_values_exit_config_without_a_traceback(
         tmp_path, capsys, task, options):
@@ -580,6 +584,14 @@ def test_malformed_input_tables_exit_data(tmp_path, capsys, toy_bundle,
     ("draws_header.json", lambda text: '{"variant": "ridge"}'),
     ("draws_header.json", lambda text: "not json"),
     ("manifest.json", lambda text: "[1]"),
+    pytest.param("scaler.json",
+                 lambda text: '{"lo": [0.0, 0.0], "span": [1.0, 1.0]}',
+                 id="scaler.json-narrower-than-network"),
+    pytest.param("margin.json", lambda text: text.replace(
+        '"eps_f": 1e-06', '"eps_f": 0.001'), id="margin.json-other-eps_f"),
+    pytest.param("network.json", lambda text: json.dumps(
+        {**json.loads(text), "layers": json.loads(text)["layers"][:-1]}),
+        id="network.json-no-output-layer"),
 ])
 def test_malformed_bundle_files_exit_data(tmp_path, capsys, toy_bundle,
                                           dataset_csv, name, edit):
@@ -993,3 +1005,129 @@ def test_calibrate_with_more_folds_than_rows_exits_data_before_refitting(
     assert "60 rows" in err and "100 folds" in err
     assert not out.exists()
 
+
+@pytest.mark.parametrize("rows", ["constant", "four"])
+def test_a_response_no_margin_can_fit_exits_data(tmp_path, capsys,
+                                                 dataset_csv, rows):
+    # fewer than 5 responses, or no spread, ended in a traceback (exit 1)
+    names, table = load_table(dataset_csv)
+    if rows == "four":
+        table = table[:4]
+    else:
+        table[:, -1] = 2.0
+    data = _write_rows(tmp_path / "data.csv", names, table)
+    cfg = write_config(tmp_path / "fit.json", {"dataset": data, **FAST_FIT})
+    out = tmp_path / "bundle"
+    assert main(["fit", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+TINY_LFI = {"simulator": "blowfly", "series_length": 30, "n_total": 10,
+            "split": 0.8, "score_reps": 5,
+            "lfi_fit": {"kernel_sizes": [5, 2], "filter_counts": [2, 2],
+                        "dense_width": 4, "epochs": 2, "batch_size": 4,
+                        "variant": "ridge", "burnin": 5, "draws": 5}}
+
+
+@pytest.fixture(scope="module")
+def lfi_runs(tmp_path_factory):
+    """Blowfly ``param_*`` bundles fitted on length-30 series, and the
+    length-30 and length-40 data directories."""
+    root = tmp_path_factory.mktemp("lfi_runs")
+    for length in (30, 40):
+        cfg = write_config(root / f"sim{length}.json",
+                           {**TINY_LFI, "series_length": length})
+        assert main(["lfi-simulate", "--config", cfg, "--out",
+                     str(root / f"data{length}"), "--seed", "3"]) == 0
+    cfg = write_config(root / "fit.json", {**TINY_LFI,
+                                           "data_dir": str(root / "data30")})
+    assert main(["lfi-fit", "--config", cfg, "--out", str(root / "fit"),
+                 "--seed", "3"]) == 0
+    return root
+
+
+def test_lfi_score_checks_the_window_before_loading_bundles(tmp_path,
+                                                            capsys, lfi_runs):
+    # 0.99 of 30 steps leaves no pair; the bundle directory does not exist
+    cfg = write_config(tmp_path / "score.json", {
+        **TINY_LFI, "train_frac": 0.99, "data_dir": str(lfi_runs / "data30"),
+        "fit_dir": str(tmp_path / "no_fit")})
+    out = tmp_path / "out"
+    assert main(["lfi-score", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "length 30" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["test_csv", "observed"])
+def test_lfi_score_on_series_the_bundles_do_not_read_exits_data(
+        tmp_path, capsys, lfi_runs, case):
+    # both ended in the network's shape error (exit 4)
+    payload = {**TINY_LFI, "data_dir": str(lfi_runs / "data30"),
+               "fit_dir": str(lfi_runs / "fit")}
+    if case == "test_csv":
+        payload["data_dir"] = str(lfi_runs / "data40")
+        source, width = str(lfi_runs / "data40" / "test.csv"), 40
+    else:
+        _, test = load_table(str(lfi_runs / "data30" / "test.csv"))
+        source = _write_rows(tmp_path / "observed.csv", ["d_1", "d_2", "d_3"],
+                             test[:1, 6:9])
+        payload.update(observed_series=source, train_frac=0.5)
+        width = 3
+    out = tmp_path / "out"
+    assert main(["lfi-score", "--config",
+                 write_config(tmp_path / "score.json", payload),
+                 "--out", str(out), "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and source in err
+    assert f"has {width} columns" in err and "needs 30" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("task", ["predict", "calibrate"])
+def test_a_bundle_whose_draws_do_not_fit_its_network_exits_data(
+        tmp_path, capsys, toy_bundle, dataset_csv, task):
+    # the draws lose their last coefficient: predict and calibrate exited 4,
+    # and predict left an empty output directory
+    bundle = tmp_path / "bundle"
+    shutil.copytree(toy_bundle, bundle)
+    header = json.loads((bundle / "draws_header.json").read_text())
+    q = header["q"]
+    names, rows = load_table(str(bundle / "draws.csv"))
+    keep = [j for j, name in enumerate(names)
+            if name not in (f"beta_{q}", f"lam_{q}", f"nu_{q}")]
+    _write_rows(bundle / "draws.csv", [names[j] for j in keep], rows[:, keep])
+    header["q"] = q - 1
+    (bundle / "draws_header.json").write_text(json.dumps(header))
+    cfg = write_config(tmp_path / "cfg.json", {
+        "bundle": str(bundle), "dataset": dataset_csv, "folds": 0,
+        "grid_size": 32})
+    out = tmp_path / "out"
+    assert main([task, "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bundle) in err
+    assert f"{q - 1} coefficients" in err and f"basis width {q}" in err
+    assert not out.exists()
+
+
+def test_calibrate_on_a_fine_grid_stays_within_memory(tmp_path, toy_bundle,
+                                                       dataset_csv):
+    # the row block shrinks as the grid grows: 120 rows over 200000 points
+    # at once peaked at 390 MB of arrays
+    cfg = write_config(tmp_path / "cal.json", {
+        "bundle": str(toy_bundle), "dataset": dataset_csv, "folds": 0,
+        "grid_size": 200_000})
+    tracemalloc.start()
+    try:
+        code = main(["calibrate", "--config", cfg, "--out",
+                     str(tmp_path / "cal"), "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 100e6

@@ -1,12 +1,14 @@
 """Margin model: density/CDF consistency, inversion, pseudo-response transform."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import kstest
 
-from copreg.errors import DegenerateMarginError, DomainError
-from copreg.margin import MarginModel, fit_kde, to_pseudo
+from copreg.errors import DataError, DegenerateMarginError, DomainError
+from copreg.margin import EPS_F, MarginModel, fit_kde, to_pseudo
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +141,19 @@ def test_margin_json_round_trip(normal_margin):
     assert np.array_equal(m2.sample, m.sample)
     ys = np.linspace(-2, 2, 9)
     np.testing.assert_array_equal(m2.cdf(ys), m.cdf(ys))
+
+
+def test_degenerate_samples_are_data_errors():
+    assert issubclass(DegenerateMarginError, DataError)
+
+
+def test_margin_json_holds_the_one_clamp_width(normal_margin):
+    _, m = normal_margin
+    doc = json.loads(m.to_json())
+    assert doc["eps_f"] == EPS_F == 1e-6
+    doc["eps_f"] = 1e-3
+    with pytest.raises(DomainError, match="eps_f"):
+        MarginModel.from_json(json.dumps(doc))
 
 
 def test_margin_grid_csv(tmp_path, normal_margin):

@@ -10,8 +10,11 @@ from copreg.errors import DomainError
 from copreg.margin import PredictiveKernel, fit_kde
 from copreg.nnet import Dense, Network
 from copreg.predict import (
+    GRID_SIZE,
+    ROW_CHUNK,
     PredictiveModel,
     TransformCurve,
+    _row_block,
     average_predictive_cdf,
     average_predictive_density,
     default_grid,
@@ -293,3 +296,11 @@ def test_sample_predictive_builds_one_transform_curve_per_model(
         z0 = s_hat * f_hat + s_hat * normal
         np.testing.assert_array_equal(draws, fresh.lookup(z0))
     assert len(builds) == 1
+
+
+def test_row_blocks_shrink_only_beyond_the_default_grid():
+    # grids up to GRID_SIZE points keep ROW_CHUNK rows, so their sums stay
+    # bit for bit; a finer grid takes fewer rows, down to one
+    assert _row_block(1) == _row_block(GRID_SIZE) == ROW_CHUNK
+    assert _row_block(4 * GRID_SIZE) == ROW_CHUNK // 4
+    assert _row_block(200_000) == 1

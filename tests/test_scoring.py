@@ -10,6 +10,7 @@ from copreg.lfi import (
     composite_scores,
     energy_score,
 )
+from copreg.lfi.scoring import score_options
 
 
 def test_energy_score_zero_for_perfect_deterministic_forecast():
@@ -105,3 +106,27 @@ def test_composite_scores_requires_rng_and_test_window():
     with pytest.raises(DomainError):
         composite_scores(rho, obs, model, train_frac=0.999,
                          rng=np.random.default_rng(1))
+
+
+class _NoSimulation:
+    def simulate(self, *args, **kwargs):
+        raise AssertionError("composite_scores simulated")
+
+
+def test_score_options_state_the_defaults_and_the_limits():
+    assert score_options() == {"train_frac": 0.8, "reps": 1000}
+    # a length-3 series at 0.5 keeps the pair (d_2, d_3); at 0.8 none
+    assert score_options(0.5, 2, 3) == {"train_frac": 0.5, "reps": 2}
+    with pytest.raises(DomainError, match="length 3"):
+        score_options(0.8, 2, 3)
+
+
+@pytest.mark.parametrize("options", [
+    {"reps": 1}, {"reps": 0}, {"reps": 2.5}, {"train_frac": float("nan")},
+    {"train_frac": 1.0}, {"train_frac": 0.99}])
+def test_composite_scores_rejects_options_before_simulating(options):
+    # one replicate row used to fail in the pair kernel density only after
+    # every replicate was simulated; a NaN train_frac raised ValueError
+    with pytest.raises(DomainError):
+        composite_scores(np.ones(6), np.arange(30.0), _NoSimulation(),
+                         rng=np.random.default_rng(0), **options)
