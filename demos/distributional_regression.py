@@ -8,16 +8,15 @@ construction; the homoscedastic baseline cannot.
 
 import numpy as np
 
-from copreg.calibration import P_GRID, mean_log_score, probability_calibration
+from copreg.calibration import (
+    P_GRID,
+    calibration_report,
+    mean_log_score,
+    probability_calibration,
+)
 from copreg.nnet import TrainConfig, build_ffn
 from copreg.pipeline import fit_copula_regression, fit_gaussian_baseline
-from copreg.predict import (
-    average_predictive_cdf,
-    margin_grid,
-    predict_cdf_at,
-    predict_density_at,
-    predict_quantile,
-)
+from copreg.predict import predict_quantile
 
 rng = np.random.default_rng(1)
 n, p = 500, 8
@@ -41,26 +40,25 @@ baseline = fit_gaussian_baseline(x, y,
                                  train_cfg=TrainConfig(epochs=200, seed=2),
                                  seed=2)
 
+# the copula's diagnostics are those of `copreg calibrate`; the baseline is
+# judged on the same margin grid
+report = calibration_report(pm, x, y)
+
 # marginal calibration: sup distance between average predictive CDF and margin
-grid = margin_grid(fit.margin)
-margin_cdf = fit.margin.cdf(grid)
-d_cop = np.max(np.abs(average_predictive_cdf(pm, x, grid) - margin_cdf))
-d_dnn = np.max(np.abs(baseline.average_cdf(x, grid) - margin_cdf))
-print(f"marginal calibration sup-distance: copula {d_cop:.4f}, "
-      f"baseline {d_dnn:.4f}")
+d_dnn = np.max(np.abs(baseline.average_cdf(x, report.marginal_grid)
+                      - report.margin_cdf))
+print(f"marginal calibration sup-distance: copula "
+      f"{report.marginal_distance:.4f}, baseline {d_dnn:.4f}")
 
 # probability calibration: empirical coverage of the truth
-u_cop = predict_cdf_at(pm, x, y)
-u_dnn = baseline.cdf_at(x, y)
-dev_cop = np.max(np.abs(probability_calibration(u_cop, P_GRID) - P_GRID))
-dev_dnn = np.max(np.abs(probability_calibration(u_dnn, P_GRID) - P_GRID))
-print(f"probability calibration max deviation: copula {dev_cop:.4f}, "
-      f"baseline {dev_dnn:.4f}")
+dev_dnn = np.max(np.abs(
+    probability_calibration(baseline.cdf_at(x, y), P_GRID) - P_GRID))
+print(f"probability calibration max deviation: copula "
+      f"{report.probability_distance:.4f}, baseline {dev_dnn:.4f}")
 
 # in-sample mean log scores
-print(f"in-sample mean log score: copula "
-      f"{mean_log_score(predict_density_at(pm, x, y)):.3f}, baseline "
-      f"{mean_log_score(baseline.density_at(x, y)):.3f}")
+print(f"in-sample mean log score: copula {report.mls_in_sample:.3f}, "
+      f"baseline {mean_log_score(baseline.density_at(x, y)):.3f}")
 
 # predictive intervals widen and sharpen with the features
 for row in (x[0], x[1]):

@@ -3,18 +3,29 @@
 Two complementary diagnostics: probability calibration (nominal predictive
 quantile levels vs empirical coverage of the truth) and marginal calibration
 (average predictive distribution vs the response margin).  A forecaster can
-pass one and fail the other; both are reported.
+pass one and fail the other; both are reported, with the log scores, by
+:func:`calibration_report`, the report ``copreg calibrate`` writes.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .errors import DomainError
 from .files import write_csv, write_json
+from .predict import (
+    GRID_SIZE,
+    average_predictive_cdf,
+    average_predictive_density,
+    margin_grid,
+    predict_cdf_at,
+    predict_logpdf_at,
+)
 
 #: Default probability grid for the coverage diagnostic.
 P_GRID = np.linspace(0.01, 0.99, 99)
@@ -157,15 +168,19 @@ class CalibrationReport:
     def probability_distance(self):
         return float(np.max(np.abs(self.p_tilde - self.p_grid)))
 
-    def save(self, prob_csv, marginal_csv, summary_json):
-        write_csv(prob_csv, ("p", "p_tilde"),
+    def save(self, out_dir):
+        """Write ``probability_calibration.csv``, ``marginal_calibration.csv``
+        and ``scores.json`` into the existing directory ``out_dir``."""
+        write_csv(os.path.join(out_dir, "probability_calibration.csv"),
+                  ("p", "p_tilde"),
                   np.column_stack([self.p_grid, self.p_tilde]))
-        write_csv(marginal_csv, ("y", "average_density", "margin_density",
-                                 "average_cdf", "margin_cdf"),
+        write_csv(os.path.join(out_dir, "marginal_calibration.csv"),
+                  ("y", "average_density", "margin_density", "average_cdf",
+                   "margin_cdf"),
                   np.column_stack([self.marginal_grid, self.average_density,
                                    self.margin_density, self.average_cdf,
                                    self.margin_cdf]))
-        write_json(summary_json, {
+        write_json(os.path.join(out_dir, "scores.json"), {
             "mls_in_sample": self.mls_in_sample,
             "mls_in_sample_se": self.mls_in_sample_se,
             "mls_kfold": self.mls_kfold,
@@ -174,3 +189,39 @@ class CalibrationReport:
             "marginal_distance": self.marginal_distance,
             "probability_distance": self.probability_distance,
         })
+
+
+def calibration_report(pm, x, y, grid_size=GRID_SIZE, refit=None, folds=10,
+                       seed=0) -> CalibrationReport:
+    """Both calibration diagnostics and the log scores of the predictive
+    model ``pm`` on the rows (x, y): coverage on :data:`P_GRID`, the average
+    predictive against the margin on ``grid_size`` points of
+    :func:`~copreg.predict.margin_grid`, and the in-sample mean log score.
+
+    With ``refit``, a callable ``(x_train, y_train) -> PredictiveModel``,
+    the report adds the ``folds``-fold log score of :func:`kfold_mls`, its
+    folds drawn from ``seed``.
+    """
+    u = predict_cdf_at(pm, x, y)
+    p_tilde = probability_calibration(u, P_GRID)
+
+    grid = margin_grid(pm.margin, num=grid_size)
+    avg_density = average_predictive_density(pm, x, grid)
+    avg_cdf = average_predictive_cdf(pm, x, grid)
+
+    mls_in, mls_in_se = log_score(predict_logpdf_at(pm, x, y))
+
+    if refit is None:
+        mls_k, mls_k_se, fold_scores = float("nan"), float("nan"), []
+    else:
+        mls_k, mls_k_se, fold_scores = kfold_mls(
+            x, y, lambda x_tr, y_tr: partial(predict_logpdf_at,
+                                             refit(x_tr, y_tr)),
+            folds=folds, seed=seed)
+
+    return CalibrationReport(
+        p_grid=P_GRID, p_tilde=p_tilde, marginal_grid=grid,
+        average_density=avg_density, margin_density=pm.margin.pdf(grid),
+        average_cdf=avg_cdf, margin_cdf=pm.margin.cdf(grid),
+        mls_in_sample=mls_in, mls_in_sample_se=mls_in_se, mls_kfold=mls_k,
+        mls_kfold_se=mls_k_se, fold_scores=fold_scores)

@@ -16,16 +16,8 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
-from .calibration import (
-    P_GRID,
-    CalibrationReport,
-    kfold_mls,
-    log_score,
-    probability_calibration,
-)
+from .calibration import calibration_report
 from .copula import check_sampler
 from .errors import (
     ConfigError,
@@ -35,16 +27,14 @@ from .errors import (
     ShapeError,
     checked_int,
 )
-from .files import load_json, load_table, write_json
+from .files import finite_input, load_json, load_table, write_json
 from .lfi import (
     LfiFitConfig,
     SimBatch,
     SimModel,
-    composite_scores,
-    eval_simulation,
     generate_training,
     lfi_fit,
-    marginal_calibration_distance,
+    lfi_report,
 )
 from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
@@ -56,16 +46,7 @@ from .pipeline import (
     fit_copula_regression,
     write_manifest,
 )
-from .predict import (
-    GRID_SIZE,
-    average_predictive_cdf,
-    average_predictive_density,
-    export_density_csv,
-    margin_grid,
-    predict_cdf_at,
-    predict_logpdf_at,
-    predictive_expectation,
-)
+from .predict import GRID_SIZE, export_density_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,6 +61,13 @@ def _require(cfg, key, task):
     if key not in cfg:
         raise ConfigError(f"task {task!r} needs config key {key!r}")
     return cfg[key]
+
+
+def _input_table(path):
+    """(column names, matrix) of the table at ``path``, a model's input:
+    DataError unless every cell is finite."""
+    header, table = load_table(path)
+    return header, finite_input(path, header, table)
 
 
 def _options(factory, opts, key, **fixed):
@@ -128,7 +116,7 @@ def _fit_tabular(options, x, y, seed):
 
 def cmd_fit(cfg, out_dir, seed):
     options = _tabular_options(cfg, seed)
-    header, table = load_table(_require(cfg, "dataset", "fit"))
+    header, table = _input_table(_require(cfg, "dataset", "fit"))
     x, y = table[:, :-1], table[:, -1]
     fit = _fit_tabular(options, x, y, seed)
     fit.meta.update({"dataset": os.path.basename(cfg["dataset"]),
@@ -156,7 +144,7 @@ def _bundle_table(cfg, task, fit, response):
     bundle's features) or, with ``response``, of ``calibrate`` (exactly the
     p features and then the response)."""
     path = _require(cfg, "dataset", task)
-    _, table = load_table(path)
+    _, table = _input_table(path)
     _check_width(path, table.shape[1], fit, 1 if response else None)
     return table[:, :fit.network.input_shape[0] + response]
 
@@ -177,49 +165,26 @@ def cmd_calibrate(cfg, out_dir, seed):
     grid_size = checked_int("grid_size", cfg.get("grid_size", GRID_SIZE), 1)
     bundle_dir = _require(cfg, "bundle", "calibrate")
     fit = CopulaRegression.load(bundle_dir)
+    refit = None
     if folds >= 2:
         if fit.meta.get("task") != "fit" or "config" not in fit.meta:
             raise ConfigError(
                 f"{bundle_dir} was not written by 'fit', so k-fold calibrate "
                 "cannot refit its model; set 'folds' to 0 or 1 for "
                 "in-sample diagnostics")
-        refit_options = _tabular_options(fit.meta["config"], seed)
+        options = _tabular_options(fit.meta["config"], seed)
+
+        def refit(x_tr, y_tr):
+            return _fit_tabular(options, x_tr, y_tr, seed).predictive
     table = _bundle_table(cfg, "calibrate", fit, response=True)
     x, y = table[:, :-1], table[:, -1]
     if folds > y.size:
         raise DataError(f"{cfg['dataset']} has {y.size} rows, fewer than "
                         f"the {folds} folds")
-    pm = fit.predictive
-
-    u = predict_cdf_at(pm, x, y)
-    p_tilde = probability_calibration(u, P_GRID)
-
-    grid = margin_grid(fit.margin, num=grid_size)
-    avg_density = average_predictive_density(pm, x, grid)
-    avg_cdf = average_predictive_cdf(pm, x, grid)
-
-    mls_in, mls_in_se = log_score(predict_logpdf_at(pm, x, y))
-
-    def refit(x_tr, y_tr):
-        model = _fit_tabular(refit_options, x_tr, y_tr, seed).predictive
-        return lambda x_te, y_te: predict_logpdf_at(model, x_te, y_te)
-
-    if folds >= 2:
-        mls_k, mls_k_se, fold_scores = kfold_mls(x, y, refit, folds=folds,
-                                                 seed=seed)
-    else:
-        mls_k, mls_k_se, fold_scores = float("nan"), float("nan"), []
-
-    report = CalibrationReport(
-        p_grid=P_GRID, p_tilde=p_tilde, marginal_grid=grid,
-        average_density=avg_density, margin_density=fit.margin.pdf(grid),
-        average_cdf=avg_cdf, margin_cdf=fit.margin.cdf(grid),
-        mls_in_sample=mls_in, mls_in_sample_se=mls_in_se, mls_kfold=mls_k,
-        mls_kfold_se=mls_k_se, fold_scores=fold_scores)
+    report = calibration_report(fit.predictive, x, y, grid_size, refit=refit,
+                                folds=folds, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    report.save(os.path.join(out_dir, "probability_calibration.csv"),
-                os.path.join(out_dir, "marginal_calibration.csv"),
-                os.path.join(out_dir, "scores.json"))
+    report.save(out_dir)
     write_manifest(out_dir, _record(cfg, seed, "calibrate"))
     return EXIT_OK
 
@@ -293,7 +258,7 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
     observed, observed_path = test_b.series[0].astype(float), test_path
     if cfg.get("observed_series"):
         observed_path = cfg["observed_series"]
-        observed = load_table(observed_path)[1][0]
+        observed = _input_table(observed_path)[1][0]
     score_opts = _score_options(cfg, observed.size)
     models = []
     for prior in model.prior.params:
@@ -308,28 +273,7 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
                      bundle, 0, name)
         models.append(bundle.predictive)
 
-    table = eval_simulation(models, test_b)
-
-    rng = np.random.default_rng(seed)
-    reference = model.prior.sample_matrix(np.random.default_rng(seed + 1),
-                                          20_000)
-    calib = {prior.name: marginal_calibration_distance(
-        models[j], test_b, prior.to_axis(reference[:, j]))
-        for j, prior in enumerate(model.prior.params)}
-
-    rho_hat = np.array([
-        prior.rounded(predictive_expectation(models[j], observed[None, :],
-                                             func=prior.from_axis)[0])
-        for j, prior in enumerate(model.prior.params)])
-    cls, ces = composite_scores(rho_hat, observed, model, rng=rng,
-                                **score_opts)
-    report = {
-        "simulator": model.name,
-        "parameters": table,
-        "marginal_calibration": calib,
-        "composite": {"log_score": cls, "neg_energy_score": ces,
-                      "point_estimate": rho_hat.tolist()},
-    }
+    report = lfi_report(models, test_b, observed, model, seed, **score_opts)
     os.makedirs(out_dir, exist_ok=True)
     write_json(os.path.join(out_dir, "lfi_report.json"), report)
     write_manifest(out_dir, _record(cfg, seed, "lfi-score"))

@@ -47,6 +47,23 @@ def load_table(path):
     return header, table
 
 
+def finite_input(path, header, table):
+    """``table``, read by :func:`load_table` from ``path`` under ``header``
+    as a model's input, which must be finite; else DataError naming the
+    file, and the line and column of the first nan or infinite cell."""
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size == 0:
+        return table
+    row, col = bad[0]
+    with open(path, newline="", errors="replace") as fh:
+        reader = csv.reader(fh)
+        # the header line, then the non-blank lines up to table row ``row``
+        for _ in zip(range(row + 2), filter(None, reader)):
+            pass
+    raise DataError(f"{path}: non-finite value {table[row, col]:g} at row "
+                    f"{reader.line_num}, column {header[col]!r}")
+
+
 def _first_bad_row(path, exc):
     """DataError naming the first row of ``path`` that is not as wide as the
     header or holds a non-numeric cell; else one quoting the parser's

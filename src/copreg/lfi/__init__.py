@@ -7,6 +7,7 @@ from .pipeline import (
     fit_all_parameters,
     generate_training,
     lfi_fit,
+    lfi_report,
     marginal_calibration_distance,
     voles_model,
 )
@@ -27,7 +28,7 @@ from .simulators import (
 __all__ = [
     "LfiFitConfig", "SimBatch", "SimModel", "blowfly_model", "voles_model",
     "eval_simulation", "fit_all_parameters", "generate_training", "lfi_fit",
-    "marginal_calibration_distance",
+    "lfi_report", "marginal_calibration_distance",
     "ParamPrior", "PriorSpec", "default_blowfly_prior", "default_voles_prior",
     "bivariate_kde_logpdf", "composite_scores", "energy_score",
     "BlowflyParams", "VolesParams", "blowfly_step", "integrate_voles",

@@ -25,7 +25,7 @@ from ..errors import (
     checked_int,
 )
 
-from ..files import load_table, write_csv
+from ..files import finite_input, load_table, write_csv
 from ..nnet import TrainConfig, build_cnn
 from ..pipeline import fit_copula_regression
 
@@ -37,6 +37,7 @@ from ..predict import (
     predictive_expectation,
 )
 from .priors import ParamPrior, PriorSpec, shipped_prior
+from .scoring import REPS, TRAIN_FRAC, composite_scores
 from .simulators import (
     BlowflyParams,
     VolesParams,
@@ -53,6 +54,10 @@ logger = logging.getLogger(__name__)
 #: Voles units integrated together by :func:`generate_training`; bounds its
 #: (steps, units) matrix of normal draws.
 VOLES_BLOCK = 256
+
+#: Prior draws that :func:`lfi_report` compares each parameter's average
+#: posterior against.
+REFERENCE_DRAWS = 20_000
 
 #: The one lookup of a simulator name: its parameter record, whose ``names``
 #: a prior must list in that order, and its default series length.
@@ -139,6 +144,7 @@ class SimBatch:
     @classmethod
     def load_csv(cls, path, param_names=None, prior=None):
         header, rows = load_table(path)
+        finite_input(path, header, rows)
         p = sum(1 for name in header if name.startswith("rho_"))
         names = param_names or (prior.names if prior else header[:p])
         return cls(params=rows[:, :p],
@@ -343,3 +349,41 @@ def marginal_calibration_distance(pm: PredictiveModel, test_batch: SimBatch,
     ref = np.sort(np.asarray(reference_sample, dtype=float))
     ref_cdf = np.searchsorted(ref, grid, side="right") / ref.size
     return float(np.max(np.abs(avg_cdf - ref_cdf)))
+
+
+def lfi_report(models, test_batch: SimBatch, observed, model: SimModel, seed,
+               train_frac=TRAIN_FRAC, reps=REPS):
+    """The ``lfi_report.json`` of ``copreg lfi-score``: the posteriors
+    ``models`` (one per parameter of ``model``'s prior, in order) judged on
+    ``test_batch`` and on the ``observed`` series.
+
+    - ``parameters``: :func:`eval_simulation` on the test batch;
+    - ``marginal_calibration``: each parameter's
+      :func:`marginal_calibration_distance` against
+      :data:`REFERENCE_DRAWS` prior draws on its axis, drawn from
+      ``default_rng(seed + 1)``;
+    - ``composite``: :func:`~.scoring.composite_scores` of ``observed``,
+      with replicates from ``default_rng(seed)``, at the point estimate:
+      each posterior mean on the natural scale, rounded as its prior says.
+    """
+    params = model.prior.params
+    table = eval_simulation(models, test_batch)
+    reference = model.prior.sample_matrix(np.random.default_rng(seed + 1),
+                                          REFERENCE_DRAWS)
+    calibration = {prior.name: marginal_calibration_distance(
+        models[j], test_batch, prior.to_axis(reference[:, j]))
+        for j, prior in enumerate(params)}
+    rho_hat = np.array([
+        prior.rounded(predictive_expectation(models[j], observed[None, :],
+                                             func=prior.from_axis)[0])
+        for j, prior in enumerate(params)])
+    cls, ces = composite_scores(rho_hat, observed, model,
+                                train_frac=train_frac, reps=reps,
+                                rng=np.random.default_rng(seed))
+    return {
+        "simulator": model.name,
+        "parameters": table,
+        "marginal_calibration": calibration,
+        "composite": {"log_score": cls, "neg_energy_score": ces,
+                      "point_estimate": rho_hat.tolist()},
+    }

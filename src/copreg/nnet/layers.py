@@ -4,6 +4,8 @@ Sample shapes exclude the batch axis: dense layers take ``(p,)`` vectors,
 convolutional layers ``(length, channels)`` series.  Each layer caches what
 its backward pass needs during ``forward(training=True)``; a layer instance
 is therefore not reentrant while a gradient step is in flight.
+``Network.loss_and_grads`` drops each cache once that layer's backward pass
+is done, so a trained network holds no batch's activations.
 """
 
 from __future__ import annotations

@@ -106,6 +106,7 @@ class Network:
         grad = 2.0 * resid / n
         for layer in reversed(self.layers):
             grad = layer.backward(grad)
+            layer._cache = None  # the batch's activations, no longer needed
         return loss, self.get_grads_vector()
 
     def mse(self, x, y):

@@ -1131,3 +1131,47 @@ def test_calibrate_on_a_fine_grid_stays_within_memory(tmp_path, toy_bundle,
         tracemalloc.stop()
     assert code == 0
     assert peak < 100e6
+
+
+@pytest.mark.parametrize("task,source,cell,value", [
+    ("fit", "dataset", (2, 0), "nan"),
+    ("fit", "dataset", (5, -1), "inf"),
+    ("predict", "dataset", (0, 1), "nan"),
+    ("calibrate", "dataset", (3, 2), "-inf"),
+    ("lfi-fit", "train.csv", (1, 8), "nan"),
+    ("lfi-score", "test.csv", (0, 0), "inf"),
+    ("lfi-score", "observed_series", (0, 4), "nan"),
+])
+def test_a_non_finite_input_cell_exits_data(tmp_path, capsys, toy_bundle,
+                                            dataset_csv, lfi_runs, task,
+                                            source, cell, value):
+    # fit exited 4 on a nan feature or an inf response; calibrate exited 0
+    # and wrote NaN scores; predict exited 4 after writing its first files
+    data = tmp_path / "data"
+    shutil.copytree(lfi_runs / "data30", data)
+    if source == "dataset":
+        table = tmp_path / "table.csv"
+        cfg = {"bundle": str(toy_bundle), "dataset": str(table), "folds": 0,
+               **FAST_FIT}
+        names, rows = load_table(dataset_csv)
+    elif source == "observed_series":
+        table = tmp_path / "observed.csv"
+        cfg = {**TINY_LFI, "data_dir": str(data),
+               "fit_dir": str(lfi_runs / "fit"), "observed_series": str(table)}
+        names, rows = load_table(str(data / "test.csv"))
+        names, rows = names[6:], rows[:, 6:]
+    else:
+        table = data / source
+        cfg = {**TINY_LFI, "data_dir": str(data),
+               "fit_dir": str(lfi_runs / "fit")}
+        names, rows = load_table(str(table))
+    rows[cell] = float(value)
+    _write_rows(table, names, rows)
+    out = tmp_path / "out"
+    assert main([task, "--config", write_config(tmp_path / "cfg.json", cfg),
+                 "--out", str(out), "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {table}: non-finite value {value} "
+                          f"at row {cell[0] + 2}, column "
+                          f"{names[cell[1]]!r}")
+    assert not out.exists()

@@ -370,3 +370,20 @@ def test_bad_layer_entries_and_overlapping_pool_are_rejected():
         Network.from_json(json.dumps(doc))
     with pytest.raises(ValueError):
         MaxPool1D(3, 2)
+
+
+@pytest.mark.parametrize("kind", ["ffn", "cnn"])
+def test_trained_network_keeps_no_activations(kind):
+    # each layer held the last batch's arrays after training: 10.6 MB for a
+    # small blowfly CNN fitted on 216 series of length 100
+    rng = np.random.default_rng(43)
+    if kind == "ffn":
+        x = rng.normal(size=(40, 4))
+        net = build_ffn(4, width=8, seed=9)
+    else:
+        x = rng.poisson(5.0, size=(40, 30)).astype(float)
+        net = build_cnn(30, kernel_sizes=(5, 2), filter_counts=(3, 2),
+                        dense_width=6, seed=9)
+    train(net, x, rng.normal(size=40),
+          TrainConfig(epochs=3, batch_size=16, seed=3))
+    assert [layer._cache for layer in net.layers] == [None] * len(net.layers)
