@@ -18,12 +18,11 @@ import numpy as np
 
 from .errors import DomainError
 from .files import write_csv, write_json
+from .margin import PredictiveKernel
 from .predict import (
     GRID_SIZE,
-    average_predictive_cdf,
-    average_predictive_density,
+    average_density_cdf,
     margin_grid,
-    predict_cdf_at,
     predict_logpdf_at,
 )
 
@@ -202,14 +201,14 @@ def calibration_report(pm, x, y, grid_size=GRID_SIZE, refit=None, folds=10,
     the report adds the ``folds``-fold log score of :func:`kfold_mls`, its
     folds drawn from ``seed``.
     """
-    u = predict_cdf_at(pm, x, y)
-    p_tilde = probability_calibration(u, P_GRID)
+    f, s = pm.location_scale(np.atleast_2d(x))
+    at_truth = PredictiveKernel(pm.margin, y)
+    p_tilde = probability_calibration(at_truth.cdf(f, s), P_GRID)
+    mls_in, mls_in_se = log_score(at_truth.logpdf(f, s))
 
-    grid = margin_grid(pm.margin, num=grid_size)
-    avg_density = average_predictive_density(pm, x, grid)
-    avg_cdf = average_predictive_cdf(pm, x, grid)
-
-    mls_in, mls_in_se = log_score(predict_logpdf_at(pm, x, y))
+    on_grid = PredictiveKernel(pm.margin, margin_grid(pm.margin,
+                                                      num=grid_size))
+    avg_density, avg_cdf = average_density_cdf(on_grid, f, s)
 
     if refit is None:
         mls_k, mls_k_se, fold_scores = float("nan"), float("nan"), []
@@ -220,8 +219,9 @@ def calibration_report(pm, x, y, grid_size=GRID_SIZE, refit=None, folds=10,
             folds=folds, seed=seed)
 
     return CalibrationReport(
-        p_grid=P_GRID, p_tilde=p_tilde, marginal_grid=grid,
-        average_density=avg_density, margin_density=pm.margin.pdf(grid),
-        average_cdf=avg_cdf, margin_cdf=pm.margin.cdf(grid),
+        p_grid=P_GRID, p_tilde=p_tilde, marginal_grid=on_grid.y,
+        average_density=avg_density,
+        margin_density=np.exp(on_grid.margin_logpdf), average_cdf=avg_cdf,
+        margin_cdf=on_grid.margin_cdf,
         mls_in_sample=mls_in, mls_in_sample_se=mls_in_se, mls_kfold=mls_k,
         mls_kfold_se=mls_k_se, fold_scores=fold_scores)

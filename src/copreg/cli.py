@@ -178,6 +178,9 @@ def cmd_calibrate(cfg, out_dir, seed):
             return _fit_tabular(options, x_tr, y_tr, seed).predictive
     table = _bundle_table(cfg, "calibrate", fit, response=True)
     x, y = table[:, :-1], table[:, -1]
+    if y.size < 2:
+        raise DataError(f"{cfg['dataset']} has 1 row; calibrate needs at "
+                        "least 2 for the standard error of its log score")
     if folds > y.size:
         raise DataError(f"{cfg['dataset']} has {y.size} rows, fewer than "
                         f"the {folds} folds")

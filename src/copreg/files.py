@@ -51,7 +51,22 @@ def finite_input(path, header, table):
     """``table``, read by :func:`load_table` from ``path`` under ``header``
     as a model's input, which must be finite; else DataError naming the
     file, and the line and column of the first nan or infinite cell."""
-    bad = np.argwhere(~np.isfinite(table))
+    return _no_bad_cell(path, header, table, ~np.isfinite(table),
+                        "non-finite value")
+
+
+def whole_input(path, header, table):
+    """``table`` of counts, as :func:`finite_input` but with whole-number
+    cells: else DataError naming the first cell that is not one.  ``table``
+    may be the trailing columns of the file, under their ``header``."""
+    return _no_bad_cell(path, header, table, table != np.rint(table),
+                        "non-whole value")
+
+
+def _no_bad_cell(path, header, table, bad, what):
+    """``table``, unless ``bad`` marks a cell: then DataError naming the
+    file, and the line and column of the first marked cell."""
+    bad = np.argwhere(bad)
     if bad.size == 0:
         return table
     row, col = bad[0]
@@ -60,7 +75,7 @@ def finite_input(path, header, table):
         # the header line, then the non-blank lines up to table row ``row``
         for _ in zip(range(row + 2), filter(None, reader)):
             pass
-    raise DataError(f"{path}: non-finite value {table[row, col]:g} at row "
+    raise DataError(f"{path}: {what} {float(table[row, col])!r} at row "
                     f"{reader.line_num}, column {header[col]!r}")
 
 

@@ -25,15 +25,16 @@ from ..errors import (
     checked_int,
 )
 
-from ..files import finite_input, load_table, write_csv
+from ..files import finite_input, load_table, whole_input, write_csv
+from ..margin import PredictiveKernel
 from ..nnet import TrainConfig, build_cnn
 from ..pipeline import fit_copula_regression
 
 from ..predict import (
     PredictiveModel,
-    average_predictive_cdf,
+    average_cdf,
+    expectation,
     margin_grid,
-    predict_cdf_at,
     predictive_expectation,
 )
 from .priors import ParamPrior, PriorSpec, shipped_prior
@@ -146,9 +147,9 @@ class SimBatch:
         header, rows = load_table(path)
         finite_input(path, header, rows)
         p = sum(1 for name in header if name.startswith("rho_"))
+        whole_input(path, header[p:], rows[:, p:])
         names = param_names or (prior.names if prior else header[:p])
-        return cls(params=rows[:, :p],
-                   series=np.rint(rows[:, p:]).astype(np.int64),
+        return cls(params=rows[:, :p], series=rows[:, p:].astype(np.int64),
                    param_names=tuple(names), prior=prior)
 
 
@@ -319,21 +320,26 @@ def eval_simulation(models, test_batch: SimBatch):
     counts test truths inside the central 95% predictive interval, checked
     through the predictive CDF (exact for strictly increasing CDFs).
     """
-    alpha = 0.5 * (1.0 - 0.95)
     series = test_batch.series.astype(float)
-    out = {}
-    for j, pm in enumerate(models):
-        truth = test_batch.prior.params[j].to_axis(test_batch.params[:, j])
-        est = predictive_expectation(pm, series)
-        sq_err = (est - truth) ** 2
-        u = predict_cdf_at(pm, series, truth)
-        covered = (u >= alpha) & (u <= 1.0 - alpha)
-        out[test_batch.param_names[j]] = {
-            "mse": float(sq_err.mean()),
-            "se": float(sq_err.std(ddof=1) / np.sqrt(sq_err.size)),
-            "coverage": float(covered.mean()),
-        }
-    return out
+    return {test_batch.param_names[j]: _test_errors(
+        pm, *pm.location_scale(series), test_batch, j)
+        for j, pm in enumerate(models)}
+
+
+def _test_errors(pm, f, s, test_batch, j):
+    """:func:`eval_simulation`'s entry for parameter j, whose posterior
+    ``pm`` has the laws (f, s) at the test series."""
+    alpha = 0.5 * (1.0 - 0.95)
+    truth = test_batch.prior.params[j].to_axis(test_batch.params[:, j])
+    est = expectation(pm.expectation_kernel(), f, s)
+    sq_err = (est - truth) ** 2
+    u = PredictiveKernel.cdf_only(pm.margin, truth).cdf(f, s)
+    covered = (u >= alpha) & (u <= 1.0 - alpha)
+    return {
+        "mse": float(sq_err.mean()),
+        "se": float(sq_err.std(ddof=1) / np.sqrt(sq_err.size)),
+        "coverage": float(covered.mean()),
+    }
 
 
 def marginal_calibration_distance(pm: PredictiveModel, test_batch: SimBatch,
@@ -343,9 +349,16 @@ def marginal_calibration_distance(pm: PredictiveModel, test_batch: SimBatch,
     The reference is an independent prior sample on the parameter's axis
     (robust to integer parameters, where no closed-form density applies).
     """
+    return _calibration_distance(
+        pm, *pm.location_scale(test_batch.series.astype(float)),
+        reference_sample)
+
+
+def _calibration_distance(pm, f, s, reference_sample):
+    """:func:`marginal_calibration_distance` of ``pm``, whose laws at the
+    test series are (f, s)."""
     grid = margin_grid(pm.margin)
-    avg_cdf = average_predictive_cdf(pm, test_batch.series.astype(float),
-                                     grid)
+    avg_cdf = average_cdf(PredictiveKernel.cdf_only(pm.margin, grid), f, s)
     ref = np.sort(np.asarray(reference_sample, dtype=float))
     ref_cdf = np.searchsorted(ref, grid, side="right") / ref.size
     return float(np.max(np.abs(avg_cdf - ref_cdf)))
@@ -365,14 +378,20 @@ def lfi_report(models, test_batch: SimBatch, observed, model: SimModel, seed,
     - ``composite``: :func:`~.scoring.composite_scores` of ``observed``,
       with replicates from ``default_rng(seed)``, at the point estimate:
       each posterior mean on the natural scale, rounded as its prior says.
+
+    Each posterior is evaluated at the test series once, for both tables.
     """
     params = model.prior.params
-    table = eval_simulation(models, test_batch)
     reference = model.prior.sample_matrix(np.random.default_rng(seed + 1),
                                           REFERENCE_DRAWS)
-    calibration = {prior.name: marginal_calibration_distance(
-        models[j], test_batch, prior.to_axis(reference[:, j]))
-        for j, prior in enumerate(params)}
+    series = test_batch.series.astype(float)
+    table, calibration = {}, {}
+    for j, (pm, prior) in enumerate(zip(models, params)):
+        f, s = pm.location_scale(series)
+        table[test_batch.param_names[j]] = _test_errors(pm, f, s,
+                                                        test_batch, j)
+        calibration[prior.name] = _calibration_distance(
+            pm, f, s, prior.to_axis(reference[:, j]))
     rho_hat = np.array([
         prior.rounded(predictive_expectation(models[j], observed[None, :],
                                              func=prior.from_axis)[0])

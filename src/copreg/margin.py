@@ -444,7 +444,8 @@ class PredictiveKernel:
 
     With ``z = to_pseudo(margin, y)`` and residual ``r = (z - s f) / s`` the
     log density is ``log p_Y(y) - log phi(z) + log phi(r) - log s`` and the
-    CDF ``Phi(r)``.  The margin is evaluated once, here, in one pass; ``f``
+    CDF ``Phi(r)``.  The margin is evaluated once, here, in one pass, whose
+    ``margin_cdf`` and ``margin_logpdf`` at ``y`` the kernel keeps; ``f``
     and ``s`` broadcast against ``y`` (scalars: one law on a grid; vectors:
     paired laws; ``(rows, 1)`` columns: a block of laws on a shared grid).
     """
@@ -452,26 +453,35 @@ class PredictiveKernel:
     def __init__(self, margin: MarginModel, y):
         self.margin = margin
         self.y = np.asarray(y, dtype=float)
-        cdf, logpdf = margin.cdf_logpdf(self.y)
-        self.z = _pseudo(cdf)
-        self._log_ratio = logpdf - _log_phi(self.z)
+        self.margin_cdf, self.margin_logpdf = margin.cdf_logpdf(self.y)
+        self.z = _pseudo(self.margin_cdf)
+        self._log_ratio = self.margin_logpdf - _log_phi(self.z)
 
     @classmethod
     def cdf_only(cls, margin: MarginModel, y):
-        """A kernel for :meth:`cdf` alone, without :meth:`logpdf`: its margin
-        pass skips the log density (an exp and a log per window term)."""
+        """A kernel for :meth:`cdf` alone, without :meth:`logpdf` (its
+        ``margin_logpdf`` is None): its margin pass skips the log density
+        (an exp and a log per window term)."""
         kernel = cls.__new__(cls)
         kernel.margin = margin
         kernel.y = np.asarray(y, dtype=float)
-        kernel.z = _pseudo(margin._evaluate(kernel.y, logpdf=False)[0])
-        kernel._log_ratio = None
+        kernel.margin_cdf = margin._evaluate(kernel.y, logpdf=False)[0]
+        kernel.margin_logpdf = kernel._log_ratio = None
+        kernel.z = _pseudo(kernel.margin_cdf)
         return kernel
 
     def residual(self, f, s):
         return (self.z - s * f) / s
 
-    def logpdf(self, f, s):
-        return self._log_ratio + _log_phi(self.residual(f, s)) - np.log(s)
+    def logpdf(self, f, s, r=None):
+        """Log densities of the laws (f, s); ``r`` is their residual when
+        the caller has it already."""
+        r = self.residual(f, s) if r is None else r
+        out = _log_phi(r)
+        out += self._log_ratio  # in place: numpy makes a new array for
+        out -= np.log(s)        # each broadcast operand otherwise
+        return out
 
-    def cdf(self, f, s):
-        return ndtr(self.residual(f, s))
+    def cdf(self, f, s, r=None):
+        """CDFs of the laws (f, s); ``r`` as in :meth:`logpdf`."""
+        return ndtr(self.residual(f, s) if r is None else r)

@@ -167,28 +167,52 @@ def _row_block(points):
     return max(1, ROW_CHUNK * GRID_SIZE // max(points, GRID_SIZE))
 
 
-def _row_mean(pm, x_rows, kernel, law):
-    """Mean over feature rows of ``law(kernel, f, s)`` on the kernel's grid."""
-    f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
-    total = np.zeros_like(kernel.z)
+def _row_means(kernel, f_all, s_all, laws):
+    """Mean over the laws (f_all, s_all) of each ``law(kernel, f, s, r)`` in
+    ``laws`` on the kernel's grid, in row blocks of :func:`_row_block`; each
+    block's residual ``r`` is computed once, for all of ``laws``."""
+    totals = [np.zeros_like(kernel.z) for _ in laws]
     block = _row_block(kernel.z.size)
     for start in range(0, f_all.size, block):
         rows = slice(start, start + block)
-        total += law(kernel, f_all[rows, None], s_all[rows, None]).sum(axis=0)
-    return total / f_all.size
+        f, s = f_all[rows, None], s_all[rows, None]
+        r = kernel.residual(f, s)
+        for total, law in zip(totals, laws):
+            total += law(kernel, f, s, r).sum(axis=0)
+        del r  # else it is held while the next block's is computed
+    return [total / f_all.size for total in totals]
+
+
+def _density(kernel, f, s, r):
+    logpdf = kernel.logpdf(f, s, r)
+    return np.exp(logpdf, out=logpdf)  # in place: r is still held
+
+
+def average_density_cdf(kernel, f_all, s_all):
+    """``(mean density, mean CDF)`` of the predictive laws (f_all, s_all) on
+    the kernel's grid, from one row loop."""
+    return tuple(_row_means(kernel, f_all, s_all,
+                            (_density, PredictiveKernel.cdf)))
 
 
 def average_predictive_density(pm: PredictiveModel, x_rows,
                                y_grid) -> np.ndarray:
     """Pointwise mean of the predictive densities at each feature row."""
-    return _row_mean(pm, x_rows, PredictiveKernel(pm.margin, y_grid),
-                     lambda kernel, f, s: np.exp(kernel.logpdf(f, s)))
+    f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
+    return _row_means(PredictiveKernel(pm.margin, y_grid), f_all, s_all,
+                      (_density,))[0]
+
+
+def average_cdf(kernel, f_all, s_all):
+    """Mean CDF of the predictive laws (f_all, s_all) on the kernel's grid."""
+    return _row_means(kernel, f_all, s_all, (PredictiveKernel.cdf,))[0]
 
 
 def average_predictive_cdf(pm: PredictiveModel, x_rows, y_grid) -> np.ndarray:
     """Pointwise mean of the predictive CDFs; the marginal-calibration curve."""
-    return _row_mean(pm, x_rows, PredictiveKernel.cdf_only(pm.margin, y_grid),
-                     PredictiveKernel.cdf)
+    f_all, s_all = pm.location_scale(np.asarray(x_rows, dtype=float))
+    return average_cdf(PredictiveKernel.cdf_only(pm.margin, y_grid), f_all,
+                       s_all)
 
 
 def export_density_csv(pm: PredictiveModel, x_rows, out_dir, num=GRID_SIZE):
@@ -229,15 +253,21 @@ class TransformCurve:
 
 
 def predictive_expectation(pm: PredictiveModel, x_rows, func=None):
-    """E[g(Y0) | x0] for each feature row: sum_k g(ybar_k) dG_k, with G the
-    predictive CDF on :meth:`PredictiveModel.expectation_kernel`'s grid, cell
-    masses at cell midpoints and the mass beyond either end at that end node.
-    ``func`` (elementwise) defaults to the identity: posterior means."""
-    kernel = pm.expectation_kernel()
+    """E[g(Y0) | x0] for each feature row: :func:`expectation` on
+    :meth:`PredictiveModel.expectation_kernel`.  ``func`` (elementwise)
+    defaults to the identity: posterior means."""
+    return expectation(pm.expectation_kernel(),
+                       *pm.location_scale(np.atleast_2d(x_rows)), func=func)
+
+
+def expectation(kernel, f_all, s_all, func=None):
+    """E[g(Y0)] under each predictive law (f_all, s_all): sum_k g(ybar_k)
+    dG_k, with G the predictive CDF on the kernel's grid, cell masses at
+    cell midpoints and the mass beyond either end at that end node; ``func``
+    as in :func:`predictive_expectation`."""
     y = kernel.y
     nodes = np.concatenate([y[:1], 0.5 * (y[1:] + y[:-1]), y[-1:]])
     values = nodes if func is None else func(nodes)
-    f_all, s_all = pm.location_scale(np.atleast_2d(x_rows))
     out = np.empty(f_all.size)
     block = _row_block(y.size)
     for start in range(0, f_all.size, block):

@@ -1175,3 +1175,42 @@ def test_a_non_finite_input_cell_exits_data(tmp_path, capsys, toy_bundle,
                           f"at row {cell[0] + 2}, column "
                           f"{names[cell[1]]!r}")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("task,source,cell,value", [
+    ("lfi-fit", "train.csv", (1, 8), 2.5),
+    ("lfi-score", "test.csv", (0, 10), 0.001),
+])
+def test_a_non_whole_series_cell_exits_data(tmp_path, capsys, lfi_runs, task,
+                                            source, cell, value):
+    # series cells were rounded to the nearest count without a word
+    data = tmp_path / "data"
+    shutil.copytree(lfi_runs / "data30", data)
+    names, rows = load_table(str(data / source))
+    rows[cell] = value
+    _write_rows(data / source, names, rows)
+    cfg = {**TINY_LFI, "data_dir": str(data), "fit_dir": str(lfi_runs / "fit")}
+    out = tmp_path / "out"
+    assert main([task, "--config", write_config(tmp_path / "cfg.json", cfg),
+                 "--out", str(out), "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data / source}: non-whole value "
+                          f"{value!r} at row {cell[0] + 2}, column "
+                          f"{names[cell[1]]!r}")
+    assert not out.exists()
+
+
+def test_calibrate_on_one_row_exits_data(tmp_path, capsys, toy_bundle,
+                                         dataset_csv):
+    # one row exited 0, warned "Degrees of freedom <= 0" and wrote
+    # "mls_in_sample_se": NaN, which is not JSON
+    names, rows = load_table(dataset_csv)
+    data = _write_rows(tmp_path / "one.csv", names, rows[:1])
+    cfg = write_config(tmp_path / "cal.json", {
+        "bundle": str(toy_bundle), "dataset": data, "folds": 0})
+    out = tmp_path / "cal"
+    assert main(["calibrate", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {data} has 1 row")
+    assert not out.exists()

@@ -305,3 +305,29 @@ def test_lfi_bundle_round_trip_keeps_axis_and_predictions(seed):
                                   predict_cdf(pm, x[0], grid))
     np.testing.assert_array_equal(predictive_expectation(pm_back, x),
                                   predictive_expectation(pm, x))
+
+
+@settings(max_examples=60)
+@given(KINDS, SEEDS, st.integers(5, 300), st.floats(-60.0, 60.0))
+def test_kernel_keeps_the_margin_values_of_its_one_pass(kind, seed, n, far):
+    # reports read margin_cdf and exp(margin_logpdf) in place of
+    # margin.cdf(y) and margin.pdf(y): the same bits, in the tails, far
+    # outside the sample and at non-finite points too
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    margin = fit_kde(y)
+    h = margin.bandwidth
+    rng = np.random.default_rng(seed)
+    span = y.max() - y.min()
+    points = np.concatenate([
+        rng.choice(y, 30) + h * rng.normal(scale=5.0, size=30),
+        [y.min() + far * h, y.max() + far * h, y.min() - abs(far) * span,
+         y.max() + abs(far) * span, -1e6, 1e6, -np.inf, np.inf]])
+    full = PredictiveKernel(margin, points)
+    np.testing.assert_array_equal(full.margin_cdf, margin.cdf(points))
+    np.testing.assert_array_equal(full.margin_logpdf, margin.logpdf(points))
+    np.testing.assert_array_equal(np.exp(full.margin_logpdf),
+                                  margin.pdf(points))
+    lean = PredictiveKernel.cdf_only(margin, points)
+    np.testing.assert_array_equal(lean.margin_cdf, margin.cdf(points))
+    assert lean.margin_logpdf is None

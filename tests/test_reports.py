@@ -27,10 +27,13 @@ from copreg.lfi import (
     eval_simulation,
     lfi_report,
     marginal_calibration_distance,
+    voles_model,
 )
-from copreg.nnet import TrainConfig, build_ffn
+from copreg.margin import MarginModel
+from copreg.nnet import Network, TrainConfig, build_ffn
 from copreg.pipeline import CopulaRegression, fit_copula_regression
 from copreg.predict import (
+    PredictiveModel,
     average_predictive_cdf,
     average_predictive_density,
     margin_grid,
@@ -205,3 +208,94 @@ def test_the_command_line_uses_no_part_of_a_report():
         elif isinstance(node, ast.alias):
             names.update({node.name.rpartition(".")[2], node.asname})
     assert not names & REPORT_PARTS
+
+
+# -- one evaluation per row set -----------------------------------------------
+
+
+TINY_VOLES = {**TINY_LFI, "simulator": "voles", "series_length": 20,
+              "n_total": 16, "split": 0.75}
+
+
+@pytest.fixture(scope="module")
+def voles_run(tmp_path_factory):
+    root = tmp_path_factory.mktemp("voles")
+    cfg = write_config(root / "lfi.json", TINY_VOLES)
+    assert main(["lfi", "--config", cfg, "--out", str(root / "run"),
+                 "--seed", str(SEED)]) == 0
+    return root / "run"
+
+
+def test_voles_lfi_report_equals_its_parts_on_the_logit_axis(tmp_path,
+                                                              voles_run):
+    # lfi_report evaluates each posterior at the test series once for both
+    # tables; eval_simulation and marginal_calibration_distance each on
+    # their own give the same bytes, season_amplitude on its logit axis
+    model = voles_model(series_length=TINY_VOLES["series_length"])
+    assert model.prior.params[1].name == "season_amplitude"
+    assert model.prior.params[1].axis == "logit"
+    test = SimBatch.load_csv(str(voles_run / "test.csv"), prior=model.prior)
+    models = [CopulaRegression.load(str(voles_run / f"param_{name}"))
+              .predictive for name in model.prior.names]
+    observed = test.series[0].astype(float)
+    params = model.prior.params
+    reference = model.prior.sample_matrix(np.random.default_rng(SEED + 1),
+                                          20_000)
+    rho_hat = np.array([prior.rounded(predictive_expectation(
+        models[j], observed[None, :], func=prior.from_axis)[0])
+        for j, prior in enumerate(params)])
+    cls, ces = composite_scores(rho_hat, observed, model, reps=SCORE_REPS,
+                                rng=np.random.default_rng(SEED))
+    write_json(tmp_path / "lfi_report.json", {
+        "simulator": "voles",
+        "parameters": eval_simulation(models, test),
+        "marginal_calibration": {prior.name: marginal_calibration_distance(
+            models[j], test, prior.to_axis(reference[:, j]))
+            for j, prior in enumerate(params)},
+        "composite": {"log_score": cls, "neg_energy_score": ces,
+                      "point_estimate": rho_hat.tolist()}})
+    _same_files(voles_run, tmp_path, ["lfi_report.json"])
+
+
+def _count_calls(monkeypatch, owner, name):
+    """Record the first argument after ``self`` of every call of
+    ``owner.name``, which goes on as before."""
+    seen = []
+    method = getattr(owner, name)
+
+    def counting(self, values, *args, **kwargs):
+        seen.append(np.array(values, dtype=float))
+        return method(self, values, *args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return seen
+
+
+def test_calibration_report_evaluates_each_row_set_once(tabular_fit,
+                                                        monkeypatch):
+    # location_scale ran four times over x, the margin twice at y and four
+    # times on the grid (two kernels, margin.pdf and margin.cdf)
+    bundle, dataset = tabular_fit
+    fit = CopulaRegression.load(str(bundle))
+    _, table = load_table(str(dataset))
+    x, y = table[:, :-1], table[:, -1]
+    grid = margin_grid(fit.margin, num=GRID)
+    rows = _count_calls(monkeypatch, PredictiveModel, "location_scale")
+    points = _count_calls(monkeypatch, MarginModel, "_evaluate")
+    calibration_report(fit.predictive, x, y, GRID, folds=0)
+    assert len(rows) == 1 and np.array_equal(rows[0], x)
+    assert sum(np.array_equal(p, y) for p in points) == 1
+    assert sum(np.array_equal(p, grid) for p in points) == 1
+
+
+def test_lfi_report_extracts_each_basis_once_per_series_set(lfi_run,
+                                                             monkeypatch):
+    # each parameter's network ran over the test series three times: for
+    # the posterior mean, the coverage and the calibration distance
+    model, test, models, observed = _lfi_inputs(lfi_run)
+    series = _count_calls(monkeypatch, Network, "extract_basis")
+    lfi_report(models, test, observed, model, SEED, reps=SCORE_REPS)
+    on_test = [s for s in series if np.array_equal(s, test.series)]
+    on_observed = [s for s in series if np.array_equal(s, observed[None, :])]
+    assert len(on_test) == len(on_observed) == len(models)
+    assert len(series) == 2 * len(models)
