@@ -341,24 +341,30 @@ def _sample_theta_corrected(beta, state, rng, z, mean_vals, t_vals, consts):
         props = _inv_gamma(rng, 1.0, 1.0 / state.nu + 0.5 * beta * beta,
                            size=q)
         steps = props - lam2
-        zm = z * mean_vals
+        # cross + log_sum / 2 of the running sums is one dot of these weights
+        # with the buffer [sqrt(u), log(u)]
+        n = z.size
+        weights = np.concatenate([z * mean_vals, np.full(n, 0.5)])
+        terms = np.empty(2 * n)
+        roots, logs = terms[:n], terms[n:]
         u = 1.0 + t_vals
-        cross = float(zm.dot(np.sqrt(u)))
-        log_sum = float(np.log(u).sum())
+        np.sqrt(u, out=roots)
+        np.log(u, out=logs)
+        total = float(weights.dot(terms))
         # row j: the move of u when lambda_j^2 takes its proposal
         inc = consts.basis_sq_t * steps[:, None]
         thresholds = (-consts.half_z2_cols * steps).tolist()
-        u_new, work = np.empty_like(u), np.empty_like(u)
+        u_new = np.empty_like(u)
         accepted = 0
         for j, (log_uj, thr) in enumerate(zip(log_u.tolist(), thresholds)):
             np.add(u, inc[j], out=u_new)
-            cross_new = float(zm.dot(np.sqrt(u_new, out=work)))
-            log_sum_new = float(np.add.reduce(np.log(u_new, out=work)))
-            if log_uj < (thr + (cross_new - cross)
-                         + 0.5 * (log_sum_new - log_sum)):
+            np.sqrt(u_new, out=roots)
+            np.log(u_new, out=logs)
+            total_new = float(weights.dot(terms))
+            if log_uj < thr + (total_new - total):
                 lam2[j] = props[j]
                 u, u_new = u_new, u
-                cross, log_sum = cross_new, log_sum_new
+                total = total_new
                 accepted += 1
         return _horseshoe_globals(lam2, state, rng), accepted / q
     half_bnorm_sq = 0.5 * float(beta @ beta)

@@ -6,6 +6,17 @@ its backward pass needs during ``forward(training=True)``; a layer instance
 is therefore not reentrant while a gradient step is in flight.
 ``Network.loss_and_grads`` drops each cache once that layer's backward pass
 is done, so a trained network holds no batch's activations.
+
+``backward(grad_out, input_grad=True)`` returns the gradient with respect to
+the layer's input.  The network's input is data, whose gradient nothing
+reads, so ``Network`` passes ``input_grad=False`` to its first layer: that
+layer fills in its parameter gradients and returns ``None``, building no
+input-shaped array.
+
+``MaxPool1D`` of width 2 compares the two strided halves of each block and
+keeps the mask ``second > first``: a tie goes to the first element, as with
+``argmax``, and a NaN second element loses to the first (``argmax`` would
+pick it).
 """
 
 from __future__ import annotations
@@ -23,10 +34,11 @@ def _apply_activation(z, activation):
     return z
 
 
-def _activation_grad(z, activation):
+def _activation_backward(grad_out, z, activation):
+    """``grad_out`` times the activation's derivative at ``z``."""
     if activation == "relu":
-        return (z > 0.0).astype(float)
-    return np.ones_like(z)
+        return grad_out * (z > 0.0)
+    return grad_out
 
 
 class Layer:
@@ -59,7 +71,7 @@ class Layer:
     def forward(self, x, training=False, rng=None):
         raise NotImplementedError
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         raise NotImplementedError
 
     def l2_penalty(self):
@@ -127,18 +139,18 @@ class Dense(_Affine):
     def forward(self, x, training=False, rng=None):
         z = x @ self.weights.T
         if self.use_bias:
-            z = z + self.bias
+            z += self.bias
         if training:
             self._cache = (x, z)
         return _apply_activation(z, self.activation)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, z = self._cache
-        dz = grad_out * _activation_grad(z, self.activation)
+        dz = _activation_backward(grad_out, z, self.activation)
         self.grads["weights"] = dz.T @ x + 2.0 * self.l2 * self.weights
         if self.use_bias:
             self.grads["bias"] = dz.sum(axis=0)
-        return dz @ self.weights
+        return dz @ self.weights if input_grad else None
 
     def config(self):
         return {**super().config(), "use_bias": self.use_bias}
@@ -171,35 +183,34 @@ class Conv1D(_Affine):
         lo = x.shape[1] - kernel + 1
         if in_ch == 1:
             # single channel: one GEMM on the (N*Lo, K) window matrix
-            cols = np.lib.stride_tricks.sliding_window_view(
-                x[:, :, 0], kernel, axis=1).reshape(-1, kernel)
-            wmat = self.weights[:, :, 0]
-            z = (cols @ wmat.T + self.bias).reshape(x.shape[0], lo, filters)
+            step = x.strides[1]
+            cols = np.lib.stride_tricks.as_strided(
+                x, (x.shape[0], lo, kernel),
+                (x.strides[0], step, step)).reshape(-1, kernel)
+            z = cols @ self.weights[:, :, 0].T
+            z += self.bias
+            z = z.reshape(x.shape[0], lo, filters)
             cache_cols = cols
         else:
             # multi channel: kernel-shifted GEMMs, BLAS reads the strided
-            # slices in place (an im2col copy would dominate here)
-            z = np.broadcast_to(self.bias, (x.shape[0], lo, filters)).copy()
-            for k in range(kernel):
+            # slices in place (an im2col copy would dominate here).  The bias
+            # joins right after the first product: b + p0 == p0 + b.
+            z = x[:, :lo, :] @ self.weights[:, 0, :].T
+            z += self.bias
+            for k in range(1, kernel):
                 z += x[:, k:k + lo, :] @ self.weights[:, k, :].T
             cache_cols = None
         if training:
             self._cache = (x, cache_cols, z)
         return _apply_activation(z, self.activation)
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         x, cols, z = self._cache
         filters, kernel, in_ch = self.weights.shape
         lo = z.shape[1]
-        dz = grad_out * _activation_grad(z, self.activation)
-        dx = np.zeros(x.shape)
+        dz = _activation_backward(grad_out, z, self.activation)
         if in_ch == 1:
-            dz2 = dz.reshape(-1, filters)
-            dw = (dz2.T @ cols)[:, :, None]
-            dcols = (dz2 @ self.weights[:, :, 0]).reshape(
-                x.shape[0], lo, kernel)
-            for k in range(kernel):
-                dx[:, k:k + lo, 0] += dcols[:, :, k]
+            dw = (dz.reshape(-1, filters).T @ cols)[:, :, None]
         else:
             dw = np.empty_like(self.weights)
             for k in range(kernel):
@@ -207,9 +218,19 @@ class Conv1D(_Affine):
                 # (N, C, Lo) @ (N, Lo, F) summed over the batch
                 dw[:, k, :] = np.matmul(
                     x_k.transpose(0, 2, 1), dz).sum(axis=0).T
-                dx[:, k:k + lo, :] += dz @ self.weights[:, k, :]
         self.grads["weights"] = dw + 2.0 * self.l2 * self.weights
         self.grads["bias"] = dz.sum(axis=(0, 1))
+        if not input_grad:
+            return None
+        dx = np.zeros(x.shape)
+        if in_ch == 1:
+            dcols = (dz.reshape(-1, filters) @ self.weights[:, :, 0]).reshape(
+                x.shape[0], lo, kernel)
+            for k in range(kernel):
+                dx[:, k:k + lo, 0] += dcols[:, :, k]
+        else:
+            for k in range(kernel):
+                dx[:, k:k + lo, :] += dz @ self.weights[:, k, :]
         return dx
 
 
@@ -239,6 +260,12 @@ class MaxPool1D(Layer):
     def forward(self, x, training=False, rng=None):
         n, length, channels = x.shape
         lo = length // self.width
+        if self.width == 2:
+            first, second = x[:, 0:2 * lo:2, :], x[:, 1:2 * lo:2, :]
+            take_second = second > first
+            if training:
+                self._cache = (take_second, x.shape)
+            return np.where(take_second, second, first)
         blocks = x[:, :lo * self.width, :].reshape(n, lo, self.width, channels)
         idx = blocks.argmax(axis=2)
         out = np.take_along_axis(blocks, idx[:, :, None, :], axis=2)[:, :, 0, :]
@@ -246,13 +273,21 @@ class MaxPool1D(Layer):
             self._cache = (idx, x.shape)
         return out
 
-    def backward(self, grad_out):
-        idx, x_shape = self._cache
-        n, lo, channels = idx.shape
-        dblocks = np.zeros((n, lo, self.width, channels))
-        np.put_along_axis(dblocks, idx[:, :, None, :], grad_out[:, :, None, :],
-                          axis=2)
+    def backward(self, grad_out, input_grad=True):
+        if not input_grad:
+            return None
+        picked, x_shape = self._cache
+        n, lo, channels = picked.shape
+        if self.width == 2:
+            dx = np.empty(x_shape)
+            dx[:, 0:2 * lo:2, :] = np.where(picked, 0.0, grad_out)
+            dx[:, 1:2 * lo:2, :] = np.where(picked, grad_out, 0.0)
+            dx[:, 2 * lo:, :] = 0.0
+            return dx
         dx = np.zeros(x_shape)
+        dblocks = np.zeros((n, lo, self.width, channels))
+        np.put_along_axis(dblocks, picked[:, :, None, :],
+                          grad_out[:, :, None, :], axis=2)
         dx[:, :lo * self.width, :] = dblocks.reshape(n, lo * self.width, channels)
         return dx
 
@@ -289,29 +324,47 @@ class BatchNorm(Layer):
     def forward(self, x, training=False, rng=None):
         axes = tuple(range(x.ndim - 1))
         if training:
-            mu = x.mean(axis=axes)
-            var = x.var(axis=axes)
+            # one centred pass: what x.mean and x.var compute, bit for bit
+            m = x.size // x.shape[-1]
+            mu = np.add.reduce(x, axis=axes) / m
+            xhat = x - mu
+            out = xhat * xhat
+            var = np.add.reduce(out, axis=axes) / m
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            xhat = (x - mu) * inv_std
+            xhat *= inv_std
             self.running_mean = (self.momentum * self.running_mean
                                  + (1.0 - self.momentum) * mu)
             self.running_var = (self.momentum * self.running_var
                                 + (1.0 - self.momentum) * var)
             self._cache = (xhat, inv_std, axes)
+            np.multiply(self.gamma, xhat, out=out)
         else:
             inv_std = 1.0 / np.sqrt(self.running_var + self.eps)
-            xhat = (x - self.running_mean) * inv_std
-        return self.gamma * xhat + self.beta
+            xhat = x - self.running_mean
+            xhat *= inv_std
+            out = np.multiply(self.gamma, xhat, out=xhat)
+        out += self.beta
+        return out
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
         xhat, inv_std, axes = self._cache
         m = xhat.size // xhat.shape[-1]
-        self.grads["gamma"] = (grad_out * xhat).sum(axis=axes)
+        work = grad_out * xhat
+        self.grads["gamma"] = work.sum(axis=axes)
         self.grads["beta"] = grad_out.sum(axis=axes)
-        dxhat = grad_out * self.gamma
-        term = (m * dxhat - dxhat.sum(axis=axes, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=axes, keepdims=True))
-        return inv_std / m * term
+        if not input_grad:
+            return None
+        # inv_std / m * (m dxhat - sum(dxhat) - xhat sum(dxhat xhat)), built
+        # in place in the order that expression evaluates
+        dx = grad_out * self.gamma
+        np.multiply(dx, xhat, out=work)
+        dxhat_xhat_sum = work.sum(axis=axes, keepdims=True)
+        dxhat_sum = dx.sum(axis=axes, keepdims=True)
+        dx *= m
+        dx -= dxhat_sum
+        dx -= np.multiply(xhat, dxhat_xhat_sum, out=work)
+        dx *= inv_std / m
+        return dx
 
     def config(self):
         return {"channels": self.channels, "momentum": self.momentum,
@@ -340,7 +393,9 @@ class Dropout(Layer):
         self._cache = keep
         return x * keep * scale
 
-    def backward(self, grad_out):
+    def backward(self, grad_out, input_grad=True):
+        if not input_grad:
+            return None
         if self._cache is None:
             return grad_out
         return grad_out * self._cache / (1.0 - self.rate)
@@ -360,8 +415,8 @@ class Flatten(Layer):
             self._cache = x.shape
         return x.reshape(x.shape[0], -1)
 
-    def backward(self, grad_out):
-        return grad_out.reshape(self._cache)
+    def backward(self, grad_out, input_grad=True):
+        return grad_out.reshape(self._cache) if input_grad else None
 
 
 #: every serializable layer class by its ``kind``

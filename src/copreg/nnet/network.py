@@ -104,8 +104,10 @@ class Network:
         loss = float(np.sum(resid * resid)) / n
         loss += sum(layer.l2_penalty() for layer in self.layers)
         grad = 2.0 * resid / n
+        first = self.layers[0]
         for layer in reversed(self.layers):
-            grad = layer.backward(grad)
+            # the input is data: nothing reads its gradient
+            grad = layer.backward(grad, input_grad=layer is not first)
             layer._cache = None  # the batch's activations, no longer needed
         return loss, self.get_grads_vector()
 

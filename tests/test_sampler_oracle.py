@@ -215,3 +215,33 @@ def test_bad_sampler_sizes_raise_domain_error(burnin, draws, thin):
     with pytest.raises(DomainError):
         run_mcmc_pseudo(z, basis, "horseshoe", burnin=burnin, draws=draws,
                         rng=np.random.default_rng(0), thin=thin)
+
+
+# -- the benchmark's shapes ---------------------------------------------------------
+
+
+def batchnorm_like_instance(seed, n, q):
+    """A dense basis like a BatchNorm layer's output: columns centred,
+    scaled and shifted, with no exact zeros; and z."""
+    gen = np.random.default_rng(seed)
+    raw = gen.normal(size=(n, q)) @ gen.normal(size=(q, q)) / np.sqrt(q)
+    basis = ((raw - raw.mean(axis=0)) / raw.std(axis=0)
+             * gen.uniform(0.5, 1.5, size=q) + gen.normal(0.0, 0.2, size=q))
+    assert np.all(basis != 0.0)
+    return gen.normal(size=n), basis
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n,q,kind", [
+    (18, 51, "batchnorm"),   # lfi-blowfly: q > n, a dense basis
+    (225, 65, "relu"),       # tabular-kfold: a ReLU basis with zeros
+])
+def test_horseshoe_chain_equals_reference_at_bench_shapes(n, q, kind, seed):
+    if kind == "batchnorm":
+        z, basis = batchnorm_like_instance(seed, n, q)
+    else:
+        z, basis = random_instance(seed, n, q)
+    got, ref = both_chains(z, basis, "horseshoe", burnin=20, draws=20,
+                           seed=seed + 1)
+    assert 0.0 < got.diagnostics["acceptance"] < 1.0
+    assert_same_chain(got, ref)
