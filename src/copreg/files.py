@@ -16,9 +16,17 @@ from .errors import DataError
 
 
 def write_csv(path, names, matrix):
-    """Write ``matrix`` under the header row ``names``."""
-    np.savetxt(path, matrix, delimiter=",", header=",".join(names),
-               comments="", fmt="%.17g")
+    """Write ``matrix`` (a 1-D one as a column) under the header row
+    ``names``: the bytes of ``np.savetxt`` with ``fmt="%.17g"``, formatted
+    in one operation."""
+    matrix = np.asarray(matrix)
+    if matrix.ndim == 1:
+        matrix = matrix[:, None]
+    header = ",".join(names)
+    row = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    with open(path, "w") as fh:
+        fh.write((header + "\n" if header else "")
+                 + (row * matrix.shape[0]) % tuple(matrix.ravel().tolist()))
 
 
 def load_table(path):

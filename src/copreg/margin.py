@@ -22,13 +22,20 @@ Nothing here builds an array over all pairs or over (queries x sample):
   its nearest sample point: sample points below the window add 1 to the CDF,
   and the log density is shifted by the nearest point's exponent, so it stays
   exact far into the tails.  Work is split into blocks of a fixed number of
-  (query, sample point) entries.
+  (query, sample point) entries.  A query whose window is dense (at least
+  _DENSE_WINDOW points, the nearest within h) is summed instead by a fast
+  Gauss transform (Greengard & Strain 1991, SIAM J. Sci. Stat. Comput.
+  12:79): the sample's occupied bins of width h each keep the moments of
+  their offsets from the bin centre, built on first use, and each bin in the
+  window adds a truncated Hermite expansion about its centre.  The path
+  depends on the query and the sample only, never on the batch.
 * Quantiles.  F and f are tabulated once at sample points; each level
   starts from the inverse cubic Hermite interpolant of that table and takes
   Newton steps inside a bisection bracket.
 
 Fitting costs O(n log n) time and O(n) memory; evaluating m points costs
-O(m log n) plus one kernel term per sample point inside each window.
+O(m log n) plus one kernel term per sample point inside each sparse window
+and 20 Hermite terms per occupied bin inside each dense one.
 """
 
 from __future__ import annotations
@@ -59,6 +66,15 @@ _UNDERFLOW_T = 38.6
 _WINDOW_T = 9.0
 #: Entries (pairs, or query/sample terms) in one vectorized block.
 _BLOCK = 1 << 16
+#: A query whose window holds this many sample points, and whose nearest
+#: point is within one bandwidth, is summed by Hermite expansions.
+_DENSE_WINDOW = 400
+#: Width of a Hermite cluster in bandwidths.
+_CLUSTER_WIDTH = 1.0
+#: Hermite terms kept per cluster.
+_HERMITE_TERMS = 20
+#: (query, cluster) pairs in one block of the expansion path.
+_PAIR_BLOCK = _BLOCK // 16
 #: Bandwidth grid points that share one segmentation and one binning.
 _LEVEL = 4
 #: Bins per bandwidth in the binned pair sums.
@@ -89,8 +105,9 @@ class MarginModel:
 
     def __post_init__(self):
         object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
-        if self.bandwidth <= 0:
-            raise DomainError("bandwidth must be positive")
+        if not 0.0 < self.bandwidth < np.inf:
+            raise DomainError(f"bandwidth {self.bandwidth!r} must be positive "
+                              "and finite")
 
     # -- density / distribution ------------------------------------------
 
@@ -135,23 +152,16 @@ class MarginModel:
         lo = np.minimum(np.searchsorted(x, q - half, side="left"), near)
         hi = np.maximum(np.searchsorted(x, q + half, side="right"), near + 1)
         count = hi - lo
-        sums_cdf = np.empty(q.size)
-        sums_log = np.empty(q.size)
-        for a, b in _blocks(count):
-            c = count[a:b]
-            first = np.cumsum(c) - c
-            rows = np.repeat(np.arange(a, b), c)
-            cols = np.arange(first[-1] + c[-1]) + np.repeat(lo[a:b] - first, c)
-            t = (q[rows] - x[cols]) / h
-            if cdf:
-                sums_cdf[a:b] = np.add.reduceat(ndtr(t), first) + lo[a:b]
-            if logpdf:
-                t_near = dmin[a:b] / h
-                t *= t
-                t -= np.repeat(t_near * t_near, c)
-                t *= -0.5
-                sums_log[a:b] = (np.log(np.add.reduceat(np.exp(t), first))
-                                 - 0.5 * t_near * t_near)
+        t_near = dmin / h
+        sums_cdf = np.empty(q.size) if cdf else None
+        sums_log = np.empty(q.size) if logpdf else None
+        # the path depends on the query and the sample only, never the batch
+        dense = (count >= _DENSE_WINDOW) & (dmin <= h)
+        _window_sums(x, h, q, lo, count, t_near, np.flatnonzero(~dense),
+                     sums_cdf, sums_log)
+        if dense.any():
+            _expansion_sums(self._clusters(), h, q, lo, hi, t_near,
+                            np.flatnonzero(dense), sums_cdf, sums_log)
         if cdf:
             out_cdf[finite] = sums_cdf / x.size
             out_cdf = out_cdf.reshape(y.shape)[()]
@@ -159,6 +169,14 @@ class MarginModel:
             out_log[finite] = sums_log - np.log(x.size * h) - _LOG_SQRT_2PI
             out_log = out_log.reshape(y.shape)[()]
         return out_cdf, out_log
+
+    def _clusters(self):
+        """The sample's Hermite clusters, built on first use and kept."""
+        clusters = self.__dict__.get("_hermite_clusters")
+        if clusters is None:
+            clusters = _hermite_clusters(self.sample, self.bandwidth)
+            object.__setattr__(self, "_hermite_clusters", clusters)
+        return clusters
 
     def quantile(self, u):
         """Inverse CDF to 1e-12 bandwidths or two float spacings.
@@ -263,16 +281,109 @@ def _inverse_hermite(u, f0, f1, x0, x1, logd0, logd1):
                 + (3 * t2 - 2 * t3) * x1 + (t3 - t2) * df * np.exp(-logd1))
 
 
-def _blocks(count):
-    """Consecutive ``(start, stop)`` row ranges holding about _BLOCK entries."""
+def _blocks(count, size=_BLOCK):
+    """Consecutive ``(start, stop)`` row ranges of about ``size`` entries."""
     ends = np.cumsum(count)
     start = 0
     while start < count.size:
         base = ends[start - 1] if start else 0
-        stop = int(np.searchsorted(ends, base + _BLOCK, side="right"))
+        stop = int(np.searchsorted(ends, base + size, side="right"))
         stop = max(stop, start + 1)
         yield start, stop
         start = stop
+
+
+def _window_sums(x, h, q, lo, count, t_near, idx, sums_cdf, sums_log):
+    """Exact windowed sums at the queries ``q[idx]``, into ``sums_cdf`` (the
+    count below the window plus the window's Phi terms) and ``sums_log``
+    (log of the window's phi terms); either output may be None."""
+    count = count[idx]
+    for a, b in _blocks(count):
+        c = count[a:b]
+        at = idx[a:b]
+        first = np.cumsum(c) - c
+        rows = np.repeat(at, c)
+        cols = np.arange(first[-1] + c[-1]) + np.repeat(lo[at] - first, c)
+        t = (q[rows] - x[cols]) / h
+        if sums_cdf is not None:
+            sums_cdf[at] = np.add.reduceat(ndtr(t), first) + lo[at]
+        if sums_log is not None:
+            near = t_near[at]
+            t *= t
+            t -= np.repeat(near * near, c)
+            t *= -0.5
+            sums_log[at] = (np.log(np.add.reduceat(np.exp(t), first))
+                            - 0.5 * near * near)
+
+
+def _hermite_clusters(x, h):
+    """``(starts, centres, moments)`` of the sorted sample ``x`` split into
+    its occupied bins of width _CLUSTER_WIDTH h.
+
+    ``starts`` holds each cluster's first index and ``moments[p]`` its sums
+    of ``b^p / p!`` over the offsets ``b = (x - centre) / h``, for p = 0 ..
+    _HERMITE_TERMS.
+    Only occupied bins are kept, so the size is O(n) whatever the range.
+    """
+    width = _CLUSTER_WIDTH * h
+    bins = np.floor((x - x[0]) / width)
+    starts = np.flatnonzero(np.diff(bins, prepend=-1.0))
+    centres = x[0] + (bins[starts] + 0.5) * width
+    sizes = np.diff(np.append(starts, x.size))
+    b = (x - np.repeat(centres, sizes)) / h
+    moments = np.empty((_HERMITE_TERMS + 1, starts.size))
+    term = np.ones(x.size)
+    for p in range(_HERMITE_TERMS + 1):
+        moments[p] = np.add.reduceat(term, starts)
+        term *= b
+        term /= p + 1
+    return starts, centres, moments
+
+
+def _expansion_sums(clusters, h, q, lo, hi, t_near, idx, sums_cdf, sums_log):
+    """The sums of :func:`_window_sums` at ``q[idx]`` from the clusters that
+    hold the window's points, each by its truncated Hermite expansion.
+
+    With ``a = (y - c) / h`` for a cluster centred at c and ``He`` the
+    probabilists' Hermite polynomials, ``exp(a b - b^2 / 2) = sum_p He_p(a)
+    b^p / p!`` gives the cluster's sums ``sum phi(a - b) = phi(a) sum_p M_p
+    He_p(a)`` and ``sum Phi(a - b) = M_0 Phi(a) - phi(a) sum_p M_{p+1}
+    He_p(a)``, summed over p < _HERMITE_TERMS; points of clusters below the
+    window add 1 each.
+    """
+    starts, centres, moments = clusters
+    first_cluster = np.searchsorted(starts, lo[idx], side="right") - 1
+    count = np.searchsorted(starts, hi[idx] - 1, side="right") - first_cluster
+    for start, stop in _blocks(count, _PAIR_BLOCK):
+        c = count[start:stop]
+        at = idx[start:stop]
+        first = np.cumsum(c) - c
+        cols = (np.arange(first[-1] + c[-1])
+                + np.repeat(first_cluster[start:stop] - first, c))
+        a = (np.repeat(q[at], c) - centres[cols]) / h
+        m = moments[:, cols]
+        # He_{p+1}(a) = a He_p(a) - p He_{p-1}(a), from He_0 = 1, He_1 = a
+        he_prev, he = np.ones(a.size), a.copy()
+        pdf_terms, cdf_terms = m[0].copy(), m[1].copy()
+        for p in range(1, _HERMITE_TERMS):
+            if sums_log is not None:
+                pdf_terms += m[p] * he
+            if sums_cdf is not None:
+                cdf_terms += m[p + 1] * he
+            he_prev *= -p
+            he_prev += a * he
+            he_prev, he = he, he_prev
+        if sums_cdf is not None:
+            cdf_terms *= np.exp(_log_phi(a))
+            sums_cdf[at] = (np.add.reduceat(m[0] * ndtr(a) - cdf_terms, first)
+                            + starts[first_cluster[start:stop]])
+        if sums_log is not None:
+            near = t_near[at]
+            square = a * a
+            square -= np.repeat(near * near, c)
+            pdf_terms *= np.exp(-0.5 * square)
+            sums_log[at] = (np.log(np.add.reduceat(pdf_terms, first))
+                            - 0.5 * near * near)
 
 
 def _exact_pair_sums(u, w, hi, rows, hs):

@@ -60,7 +60,15 @@ class FeatureScaler:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        return cls(lo=np.asarray(doc["lo"]), span=np.asarray(doc["span"]))
+        lo = np.asarray(doc["lo"], dtype=float)
+        span = np.asarray(doc["span"], dtype=float)
+        if lo.ndim != 1 or span.shape != lo.shape:
+            raise ShapeError(f"lo {lo.shape} and span {span.shape} must be "
+                             "vectors of one length")
+        if not (np.isfinite(lo).all() and np.isfinite(span).all()
+                and (span > 0).all()):
+            raise DomainError("lo must be finite and span finite and positive")
+        return cls(lo=lo, span=span)
 
 
 def write_manifest(out_dir, fields):

@@ -592,6 +592,21 @@ def test_malformed_input_tables_exit_data(tmp_path, capsys, toy_bundle,
     pytest.param("network.json", lambda text: json.dumps(
         {**json.loads(text), "layers": json.loads(text)["layers"][:-1]}),
         id="network.json-no-output-layer"),
+    pytest.param("scaler.json", lambda text: json.dumps(
+        {**json.loads(text), "span": json.loads(text)["span"][:-1]}),
+        id="scaler.json-span-shorter-than-lo"),
+    pytest.param("scaler.json", lambda text: json.dumps(
+        {**json.loads(text), "span": [0.0] * len(json.loads(text)["span"])}),
+        id="scaler.json-zero-span"),
+    pytest.param("scaler.json", lambda text: json.dumps(
+        {**json.loads(text), "lo": [math.nan] * len(json.loads(text)["lo"])}),
+        id="scaler.json-nan-lo"),
+    pytest.param("margin.json", lambda text: json.dumps(
+        {**json.loads(text), "bandwidth": math.nan}),
+        id="margin.json-nan-bandwidth"),
+    pytest.param("margin.json", lambda text: json.dumps(
+        {**json.loads(text), "bandwidth": math.inf}),
+        id="margin.json-infinite-bandwidth"),
 ])
 def test_malformed_bundle_files_exit_data(tmp_path, capsys, toy_bundle,
                                           dataset_csv, name, edit):

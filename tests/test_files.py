@@ -44,6 +44,26 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, matrix):
     assert np.array_equal(back.view(np.uint64), matrix.view(np.uint64))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 6), st.integers(0, 5), st.data())
+def test_write_csv_writes_the_bytes_of_savetxt(tmp_path_factory, rows, cols,
+                                               data):
+    cell = st.one_of(st.floats(width=64),
+                     st.sampled_from(EDGE_VALUES + [np.nan]))
+    values = data.draw(st.lists(cell, min_size=rows * max(cols, 1),
+                                max_size=rows * max(cols, 1)))
+    # cols == 0 stands for a 1-D vector, written as one column
+    matrix = np.array(values, dtype=float).reshape((rows, cols) if cols
+                                                   else (rows,))
+    names = [f"c{j}" for j in range(max(cols, 1))]
+    folder = tmp_path_factory.mktemp("csv")
+    write_csv(folder / "ours.csv", names, matrix)
+    np.savetxt(folder / "savetxt.csv", matrix, delimiter=",",
+               header=",".join(names), comments="", fmt="%.17g")
+    assert ((folder / "ours.csv").read_bytes()
+            == (folder / "savetxt.csv").read_bytes())
+
+
 @pytest.mark.parametrize("text,match", [
     ("", "is empty"),
     ("a,b\n", "has a header but no rows"),

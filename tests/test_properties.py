@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.special import logsumexp, ndtr
 
 from copreg.calibration import recalibrate_isotonic
+from copreg import margin as margin_module
 from copreg.copula import ShrinkageState
 from copreg.lfi import LfiFitConfig, SimBatch, default_voles_prior, lfi_fit
 from copreg.margin import (
@@ -245,6 +246,95 @@ def test_margin_at_paper_scale_fits_in_memory():
         tracemalloc.stop()
     assert np.all(np.isfinite(logpdf))
     assert peak < 64 * 2**20
+
+
+def mixed_queries(y, h, rng):
+    """Queries in dense and sparse windows, in the tails, at +-1e6 and
+    non-finite."""
+    span = y.max() - y.min() + 60.0 * h
+    return np.concatenate([
+        rng.choice(y, 60) + h * rng.uniform(-1.0, 1.0, size=60),
+        rng.choice(y, 30) + h * rng.normal(scale=3.0, size=30),
+        np.linspace(y.min() - span, y.max() + span, 60),
+        [-1e6, 1e6, y.min() - 40.0 * h, y.max() + 40.0 * h,
+         -np.inf, np.inf, np.nan]])
+
+
+@settings(max_examples=20, deadline=None)
+@given(KINDS, SEEDS, st.integers(1000, 4000), st.floats(0.05, 5.0))
+def test_expansion_matches_dense_sums_at_large_n(kind, seed, n, widen):
+    y = margin_sample(kind, seed, n)
+    assume(np.std(y) > 0)
+    h = widen * fit_kde(y).bandwidth
+    margin = MarginModel(np.sort(y), h)
+    queries = mixed_queries(y, h, np.random.default_rng(seed))
+    got_cdf, got_logpdf = margin.cdf_logpdf(queries)
+    np.testing.assert_array_equal(got_cdf, margin.cdf(queries))
+    np.testing.assert_array_equal(got_logpdf, margin.logpdf(queries))
+    odd = ~np.isfinite(queries)
+    np.testing.assert_array_equal(got_cdf[odd], [0.0, 1.0, np.nan])
+    np.testing.assert_array_equal(got_logpdf[odd], [-np.inf, -np.inf, np.nan])
+    cdf, pdf, logpdf = dense_margin(margin, queries[~odd])
+    assert_close_where_normal(got_cdf[~odd], cdf, 1e-12)
+    assert_close_where_normal(margin.pdf(queries[~odd]), pdf, 1e-12)
+    np.testing.assert_allclose(got_logpdf[~odd], logpdf, rtol=1e-13,
+                               atol=1e-10)
+
+
+def test_dense_windows_take_the_expansion(monkeypatch):
+    rng = np.random.default_rng(7)
+    y = rng.normal(size=3000)
+    margin = fit_kde(y)
+    rows = []
+    expand = margin_module._expansion_sums
+
+    def spy(clusters, h, q, lo, hi, t_near, idx, *sums):
+        rows.append(idx.size)
+        return expand(clusters, h, q, lo, hi, t_near, idx, *sums)
+
+    monkeypatch.setattr(margin_module, "_expansion_sums", spy)
+    queries = mixed_queries(y, margin.bandwidth, rng)
+    got_cdf, got_logpdf = margin.cdf_logpdf(queries)
+    # the 60 queries within a bandwidth of a point of the bulk, at least
+    assert len(rows) == 1 and 60 <= rows[0] < queries.size
+    finite = np.isfinite(queries)
+    cdf, _, logpdf = dense_margin(margin, queries[finite])
+    assert_close_where_normal(got_cdf[finite], cdf, 1e-12)
+    np.testing.assert_allclose(got_logpdf[finite], logpdf, rtol=1e-13,
+                               atol=1e-10)
+
+
+@settings(max_examples=10, deadline=None)
+@given(KINDS, SEEDS)
+def test_each_query_evaluates_alike_alone_or_in_a_batch(kind, seed):
+    y = margin_sample(kind, seed, 2000)
+    assume(np.std(y) > 0)
+    margin = fit_kde(y)
+    queries = mixed_queries(y, margin.bandwidth, np.random.default_rng(seed))
+    cdf, logpdf = margin.cdf_logpdf(queries)
+    kernel = PredictiveKernel.cdf_only(margin, queries)
+    np.testing.assert_array_equal(kernel.margin_cdf, cdf)
+    for i in range(queries.size):
+        one_cdf, one_logpdf = margin.cdf_logpdf(queries[i:i + 1])
+        assert one_cdf.tobytes() == cdf[i:i + 1].tobytes()
+        assert one_logpdf.tobytes() == logpdf[i:i + 1].tobytes()
+        assert np.float64(margin.cdf(queries[i])).tobytes() == cdf[i].tobytes()
+
+
+def test_far_outlier_keeps_the_clusters_small():
+    # range / h = 1e7: one cluster per bandwidth-wide bin would need 1.7 GB
+    rng = np.random.default_rng(3)
+    y = np.append(rng.normal(size=4999), 1e6)
+    margin = MarginModel(np.sort(y), 0.1)
+    tracemalloc.start()
+    try:
+        cdf, logpdf = margin.cdf_logpdf(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert margin._clusters()[0].size < 200
+    assert np.all(np.isfinite(logpdf)) and cdf[y.argmax()] > 0.5
+    assert peak < 16 * 2**20
 
 
 # -- isotonic recalibration and bundles -------------------------------------------
