@@ -15,7 +15,7 @@ from copreg.calibration import (
     probability_calibration,
 )
 from copreg.nnet import TrainConfig, build_ffn
-from copreg.pipeline import fit_copula_regression, fit_gaussian_baseline
+from copreg.pipeline import FitConfig, fit_gaussian_baseline
 from copreg.predict import predict_quantile
 
 rng = np.random.default_rng(1)
@@ -25,10 +25,9 @@ location = x[:, 0] + 0.6 * np.sin(3.0 * x[:, 1])
 y = location + np.exp(rng.normal(0.0, 0.9, size=n))  # sharp left edge
 
 print("fitting copula regression (horseshoe) ...")
-fit = fit_copula_regression(x, y, variant="horseshoe",
-                            network=build_ffn(p, seed=2),
-                            train_cfg=TrainConfig(epochs=200, seed=2),
-                            burnin=1000, draws=1000, seed=2)
+spec = FitConfig(train={"epochs": 200},
+                 mcmc={"variant": "horseshoe", "burnin": 1000, "draws": 1000})
+fit = spec.fit(x, y, seed=2)
 pm = fit.predictive
 print(f"  MCMC acceptance {fit.draws.diagnostics['acceptance']:.2f}, "
       f"scale ESS {fit.draws.diagnostics['ess_scale']:.0f}")

@@ -18,34 +18,19 @@ import sys
 
 from . import __version__
 from .calibration import calibration_report
-from .copula import check_sampler
-from .errors import (
-    ConfigError,
-    CopregError,
-    DataError,
-    DomainError,
-    ShapeError,
-    checked_int,
-)
+from .errors import ConfigError, CopregError, DataError, checked_int
 from .files import finite_input, load_json, load_table, write_json
 from .lfi import (
     LfiFitConfig,
     SimBatch,
     SimModel,
+    fit_all_parameters,
     generate_training,
-    lfi_fit,
     lfi_report,
 )
-from .lfi.pipeline import param_seed
 from .lfi.priors import PriorSpec
 from .lfi.scoring import REPS, TRAIN_FRAC, score_options
-from .nnet import Dropout, TrainConfig, build_ffn
-from .pipeline import (
-    CopulaRegression,
-    config_hash,
-    fit_copula_regression,
-    write_manifest,
-)
+from .pipeline import CopulaRegression, FitConfig, config_hash, write_manifest
 from .predict import GRID_SIZE, export_density_csv
 
 EXIT_OK = 0
@@ -70,15 +55,6 @@ def _input_table(path):
     return header, finite_input(path, header, table)
 
 
-def _options(factory, opts, key, **fixed):
-    """``factory(**opts, **fixed)`` (``fixed`` wins), with unknown or
-    invalid options a ConfigError."""
-    try:
-        return factory(**{**opts, **fixed})
-    except (TypeError, ValueError, DomainError, ShapeError) as exc:
-        raise ConfigError(f"invalid {key!r} options: {exc}") from None
-
-
 def _record(cfg, seed, task):
     """The manifest fields of one command run."""
     return {"config": cfg, "config_hash": config_hash(cfg), "seed": seed,
@@ -88,37 +64,11 @@ def _record(cfg, seed, task):
 # -- tabular commands ----------------------------------------------------------------
 
 
-def _network_options(width=64, dropout=0.5):
-    return {"width": checked_int("width", width, 1),
-            "dropout_rate": Dropout(dropout).rate}
-
-
-def _tabular_options(cfg, seed):
-    """The checked network, training and sampler options of a ``fit`` config."""
-    mcmc = cfg.get("mcmc", {})
-    _options(check_sampler, mcmc, "mcmc")  # fit_copula_regression converts it
-    return (_options(_network_options, cfg.get("network", {}), "network"),
-            _options(TrainConfig, cfg.get("train", {}), "train", seed=seed),
-            mcmc)
-
-
-def _fit_tabular(options, x, y, seed):
-    """The copula regression that checked ``fit`` options describe, fitted to (x, y)."""
-    net_opts, train_cfg, mcmc = options
-    try:
-        network = build_ffn(x.shape[1], seed=seed, **net_opts)
-    except MemoryError:
-        raise ConfigError(f"'network.width' of {net_opts['width']} is too "
-                          "large: its weights do not fit in memory") from None
-    return fit_copula_regression(x, y, network=network, train_cfg=train_cfg,
-                                 seed=seed, **mcmc)
-
-
 def cmd_fit(cfg, out_dir, seed):
-    options = _tabular_options(cfg, seed)
+    spec = FitConfig.from_config(cfg)
     header, table = _input_table(_require(cfg, "dataset", "fit"))
     x, y = table[:, :-1], table[:, -1]
-    fit = _fit_tabular(options, x, y, seed)
+    fit = spec.fit(x, y, seed)
     fit.meta.update({"dataset": os.path.basename(cfg["dataset"]),
                      "response": header[-1], **_record(cfg, seed, "fit")})
     os.makedirs(out_dir, exist_ok=True)
@@ -172,10 +122,10 @@ def cmd_calibrate(cfg, out_dir, seed):
                 f"{bundle_dir} was not written by 'fit', so k-fold calibrate "
                 "cannot refit its model; set 'folds' to 0 or 1 for "
                 "in-sample diagnostics")
-        options = _tabular_options(fit.meta["config"], seed)
+        spec = FitConfig.from_config(fit.meta["config"])
 
         def refit(x_tr, y_tr):
-            return _fit_tabular(options, x_tr, y_tr, seed).predictive
+            return spec.fit(x_tr, y_tr, seed).predictive
     table = _bundle_table(cfg, "calibrate", fit, response=True)
     x, y = table[:, :-1], table[:, -1]
     if y.size < 2:
@@ -204,15 +154,6 @@ def _sim_model(cfg):
         None if length is None else checked_int("series_length", length, 1))
 
 
-def _lfi_fit_config(cfg, series_length=None):
-    """The checked ``lfi_fit`` options of a config, whose network must also
-    fit series of ``series_length`` when that is given."""
-    lfi_cfg = _options(LfiFitConfig, cfg.get("lfi_fit", {}), "lfi_fit")
-    if series_length is not None:
-        _options(lfi_cfg.network, {}, "lfi_fit", series_length=series_length)
-    return lfi_cfg
-
-
 def _score_options(cfg, series_length=None):
     """The ``composite_scores`` options of a config, whose ``score_reps`` is
     the scorer's ``reps``; a ConfigError unless it can score with them, on a
@@ -237,15 +178,15 @@ def cmd_lfi_simulate(cfg, out_dir, seed):
 
 def cmd_lfi_fit(cfg, out_dir, seed, data_dir=None):
     model = _sim_model(cfg)
-    _lfi_fit_config(cfg)  # bad options exit before any data is read
+    LfiFitConfig.from_config(cfg)  # bad options exit before any data is read
     data_dir = data_dir or cfg.get("data_dir", out_dir)
     train_path = os.path.join(data_dir, "train.csv")
     train_b = SimBatch.load_csv(train_path, prior=model.prior)
-    lfi_cfg = _lfi_fit_config(cfg, train_b.series_length)
+    bundles = fit_all_parameters(
+        train_b, LfiFitConfig.from_config(cfg, train_b.series_length), seed,
+        return_bundle=True)
     os.makedirs(out_dir, exist_ok=True)
-    for j, name in enumerate(model.prior.names):
-        bundle = lfi_fit(train_b, j, config=lfi_cfg, seed=param_seed(seed, j),
-                         return_bundle=True)
+    for name, bundle in zip(model.prior.names, bundles):
         bundle.save(os.path.join(out_dir, f"param_{name}"))
     write_manifest(out_dir, _record(cfg, seed, "lfi-fit"))
     return EXIT_OK
@@ -288,7 +229,7 @@ def cmd_lfi(cfg, out_dir, seed):
     records this run, not its last step."""
     model = _sim_model(cfg)
     # reject bad fit and score options before simulating
-    _lfi_fit_config(cfg, model.series_length)
+    LfiFitConfig.from_config(cfg, model.series_length)
     _score_options(cfg, model.series_length)
     cmd_lfi_simulate(cfg, out_dir, seed)
     cmd_lfi_fit(cfg, out_dir, seed, data_dir=out_dir)

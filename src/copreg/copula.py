@@ -422,6 +422,8 @@ class PosteriorDraws:
         header = load_json(header_path, DataError)
         variant, q = header["variant"], header["q"]
         _, rows = load_table(csv_path)
+        if not np.isfinite(rows).all():
+            raise DomainError("every draw must be finite")
         thetas = [ShrinkageState.from_flat(variant, row[q:], q) for row in rows]
         draws = cls(variant, rows[:, :q], thetas)
         draws.diagnostics = header.get("diagnostics", {})

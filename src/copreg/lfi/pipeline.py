@@ -28,7 +28,7 @@ from ..errors import (
 from ..files import finite_input, load_table, whole_input, write_csv
 from ..margin import PredictiveKernel
 from ..nnet import TrainConfig, build_cnn
-from ..pipeline import fit_copula_regression
+from ..pipeline import fit_copula_regression, options
 
 from ..predict import (
     PredictiveModel,
@@ -260,6 +260,15 @@ class LfiFitConfig:
         self.burnin, self.draws, self.thin = check_sampler(
             self.variant, self.burnin, self.draws, self.thin)
 
+    @classmethod
+    def from_config(cls, cfg, series_length=None):
+        """The checked ``lfi_fit`` block of a config, whose network must
+        also fit series of ``series_length`` when that is given."""
+        config = options(cls, cfg.get("lfi_fit", {}), "lfi_fit")
+        if series_length is not None:
+            options(config.network, {}, "lfi_fit", series_length=series_length)
+        return config
+
     def train_config(self, seed) -> TrainConfig:
         return TrainConfig(epochs=self.epochs, batch_size=self.batch_size,
                            patience=self.patience, seed=seed)
@@ -307,9 +316,10 @@ def param_seed(seed, j):
 
 
 def fit_all_parameters(train_batch: SimBatch, config: LfiFitConfig = None,
-                       seed=0):
-    """One regressor per parameter; returns them in parameter order."""
-    return [lfi_fit(train_batch, j, config=config, seed=param_seed(seed, j))
+                       seed=0, return_bundle=False):
+    """:func:`lfi_fit` of each parameter j, seeded ``param_seed(seed, j)``."""
+    return [lfi_fit(train_batch, j, config=config, seed=param_seed(seed, j),
+                    return_bundle=return_bundle)
             for j in range(train_batch.params.shape[1])]
 
 

@@ -104,10 +104,15 @@ class MarginModel:
     bandwidth: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sample", np.asarray(self.sample, dtype=float))
+        x = np.asarray(self.sample, dtype=float)
+        object.__setattr__(self, "sample", x)
         if not 0.0 < self.bandwidth < np.inf:
             raise DomainError(f"bandwidth {self.bandwidth!r} must be positive "
                               "and finite")
+        if not (x.ndim == 1 and x.size and np.isfinite(x).all()
+                and (x[1:] >= x[:-1]).all()):
+            raise DomainError("the sample must be a non-empty, finite and "
+                              "sorted vector")
 
     # -- density / distribution ------------------------------------------
 

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from ..errors import ShapeError
+from ..errors import DomainError, ShapeError
 from .layers import LAYERS, Dense
 
 SERIAL_VERSION = 1
@@ -77,13 +77,6 @@ class Network:
         if not isinstance(self.layers[-1], Dense):
             raise ShapeError("basis width requires a dense output layer")
         return self.layers[-1].weights.shape[1]
-
-    @property
-    def output_intercept(self):
-        final = self.layers[-1]
-        if isinstance(final, Dense) and final.use_bias:
-            return float(final.bias[0])
-        return 0.0
 
     # -- loss and gradients ----------------------------------------------------
 
@@ -171,4 +164,12 @@ class Network:
                 raise ShapeError(f"{kind} layer has fields {sorted(fields)}, "
                                  f"expected {sorted(expected)}")
             layers.append(LAYERS[kind](**fields))
+        for layer in layers:
+            arrays = [getattr(layer, name)
+                      for name in layer.param_names + layer.state_names]
+            if not all(np.isfinite(a).all() for a in arrays):
+                raise DomainError(f"{layer.kind} layer has a non-finite entry")
+            if np.any(getattr(layer, "running_var", 0.0) < 0):
+                raise DomainError(f"{layer.kind} layer has a negative "
+                                  "running variance")
         return cls(layers, doc["input_shape"])

@@ -18,10 +18,10 @@ from scipy.special import ndtr
 
 from . import __version__
 from .copula import PosteriorDraws, check_sampler, run_mcmc_pseudo
-from .errors import DataError, DomainError, ShapeError
+from .errors import ConfigError, DataError, DomainError, ShapeError, checked_int
 from .files import load_json, write_json
 from .margin import MarginModel, fit_kde, to_pseudo
-from .nnet import Network, TrainConfig, build_ffn, train
+from .nnet import Dropout, Network, TrainConfig, build_ffn, train
 from .predict import PredictiveModel
 
 
@@ -201,6 +201,61 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
             "q": int(posterior.q), "burnin": burnin, "thin": thin}
     return CopulaRegression(margin=margin, network=network, draws=posterior,
                             scaler=scaler, meta=meta)
+
+
+def options(factory, block, key, **fixed):
+    """``factory(**block, **fixed)`` (``fixed`` wins), with unknown or
+    invalid options a ConfigError naming the config block ``key``."""
+    try:
+        return factory(**{**block, **fixed})
+    except (TypeError, ValueError, DomainError, ShapeError) as exc:
+        raise ConfigError(f"invalid {key!r} options: {exc}") from None
+
+
+def _ffn_options(**block):
+    """The :func:`build_ffn` keywords of a ``network`` block: its checked
+    ``width`` and ``dropout`` (build_ffn's ``dropout_rate``)."""
+    checks = {"width": lambda w: ("width", checked_int("width", w, 1)),
+              "dropout": lambda r: ("dropout_rate", Dropout(r).rate)}
+    unknown = sorted(block.keys() - checks.keys())
+    if unknown:
+        raise TypeError(f"unknown options {unknown}")
+    return dict(checks[key](value) for key, value in block.items())
+
+
+@dataclass
+class FitConfig:
+    """The tabular :class:`~copreg.lfi.LfiFitConfig`: the ``network``,
+    ``train`` and ``mcmc`` blocks of a ``fit`` config, checked once, with the
+    defaults of :func:`build_ffn`, :class:`TrainConfig` and check_sampler."""
+
+    network: dict = field(default_factory=dict)
+    train: dict = field(default_factory=dict)
+    mcmc: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        options(check_sampler, self.mcmc, "mcmc")  # the fit converts it
+        self.network = options(_ffn_options, self.network, "network")
+        options(TrainConfig, self.train, "train")
+
+    @classmethod
+    def from_config(cls, cfg):
+        """The spec of a ``fit`` config's three blocks."""
+        return cls(**{key: cfg.get(key, {})
+                      for key in ("network", "train", "mcmc")})
+
+    def fit(self, x, y, seed) -> CopulaRegression:
+        """The copula regression of (x, y), every step seeded by ``seed``."""
+        try:
+            network = build_ffn(x.shape[1], seed=seed, **self.network)
+        except MemoryError:
+            raise ConfigError(f"'network.width' of {self.network.get('width')}"
+                              " is too large: its weights do not fit in "
+                              "memory") from None
+        return fit_copula_regression(
+            x, y, network=network,
+            train_cfg=TrainConfig(**{**self.train, "seed": seed}),
+            seed=seed, **self.mcmc)
 
 
 # -- plain regression baseline ---------------------------------------------------

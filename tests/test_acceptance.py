@@ -38,9 +38,9 @@ from copreg.lfi import (
     blowfly_step,
     energy_score,
     eval_simulation,
+    fit_all_parameters,
     generate_training,
     integrate_voles,
-    lfi_fit,
     marginal_calibration_distance,
     simulate_blowfly_skeleton,
 )
@@ -379,8 +379,7 @@ def test_criterion_10_lfi_marginal_calibration_desk_scale():
                        burnin=500, draws=500)
     prior_ref = np.log(model.prior.sample_matrix(
         np.random.default_rng(1234), 20_000))
-    models = [lfi_fit(train_b, j, config=cfg, seed=7 * 7919 + j)
-              for j in range(6)]
+    models = fit_all_parameters(train_b, cfg, seed=7)  # seeds 7 * 7919 + j
     table = eval_simulation(models, test_b)
     dists = {}
     for j, name in enumerate(train_b.param_names):

@@ -1,7 +1,9 @@
 """Command-line surface: configs, artifacts, exit codes, reproducibility."""
 
+import ast
 import contextlib
 import filecmp
+import hashlib
 import io
 import json
 import math
@@ -46,6 +48,28 @@ FAST_FIT = {
 }
 
 
+#: What only the fit specs and the LFI fit loop may name: network builders,
+#: training and sampler options, fit functions and per-parameter seeds.
+FIT_PARTS = {"build_ffn", "build_cnn", "Dropout", "TrainConfig",
+             "check_sampler", "fit_copula_regression", "lfi_fit", "param_seed"}
+
+
+def test_the_command_line_builds_no_network_and_runs_no_fit_loop():
+    import copreg.cli as cli
+
+    with open(cli.__file__) as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update({node.name.rpartition(".")[2], node.asname})
+    assert not names & FIT_PARTS
+
+
 def test_load_table_reports_bad_cell(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b\n1.0,2.0\n3.0,oops\n")
@@ -72,12 +96,12 @@ def test_fit_with_a_network_too_large_for_memory_exits_config(
         tmp_path, capsys, dataset_csv, monkeypatch):
     # an oversized network.width is simulated: a real one would take the
     # machine's memory before numpy raised
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
 
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 74.5 GiB")
 
-    monkeypatch.setattr(cli, "build_ffn", out_of_memory)
+    monkeypatch.setattr(pipeline, "build_ffn", out_of_memory)
     cfg = write_config(tmp_path / "fit.json",
                        {"dataset": dataset_csv, **FAST_FIT})
     out = tmp_path / "bundle"
@@ -269,7 +293,7 @@ def test_exit_codes(tmp_path, dataset_csv):
 
 def test_fit_bundle_keeps_variant_and_refit_honours_config(
         tmp_path, dataset_csv, monkeypatch):
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
     from copreg.nnet.layers import Dropout
     from copreg.pipeline import CopulaRegression
 
@@ -286,13 +310,13 @@ def test_fit_bundle_keeps_variant_and_refit_honours_config(
     assert meta["task"] == "fit"
 
     calls = []
-    real_fit = cli.fit_copula_regression
+    real_fit = pipeline.fit_copula_regression
 
     def spy(x, y, **kwargs):
         calls.append(kwargs)
         return real_fit(x, y, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_copula_regression", spy)
+    monkeypatch.setattr(pipeline, "fit_copula_regression", spy)
     cal_cfg = write_config(tmp_path / "cal.json",
                            {"bundle": str(bundle), "dataset": dataset_csv,
                             "folds": 2})
@@ -574,6 +598,33 @@ def test_malformed_input_tables_exit_data(tmp_path, capsys, toy_bundle,
     assert not (tmp_path / "out").exists()
 
 
+def _margin_sample(change):
+    """A margin.json edit: the sample becomes ``change(sample)``, with its
+    hash recomputed so that only the sample's values are wrong."""
+    def edit(text):
+        doc = json.loads(text)
+        sample = np.asarray(change(doc["sample"]), dtype=float)
+        return json.dumps({**doc, "sample": sample.tolist(), "sample_sha256":
+                           hashlib.sha256(sample.tobytes()).hexdigest()})
+    return edit
+
+
+def _set_cell(csv_text, column, value):
+    """``csv_text`` with cell ``column`` of its first data row set to
+    ``value``."""
+    header, row, *rest = csv_text.splitlines()
+    cells = row.split(",")
+    cells[column] = value
+    return "\n".join([header, ",".join(cells), *rest]) + "\n"
+
+
+def _first_weight(text, value):
+    """network.json with its first layer's first weight set to ``value``."""
+    doc = json.loads(text)
+    doc["layers"][0]["weights"][0][0] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("name,edit", [
     ("margin.json", lambda text: text[:-1]),
     ("margin.json", lambda text: "{}"),
@@ -607,6 +658,22 @@ def test_malformed_input_tables_exit_data(tmp_path, capsys, toy_bundle,
     pytest.param("margin.json", lambda text: json.dumps(
         {**json.loads(text), "bandwidth": math.inf}),
         id="margin.json-infinite-bandwidth"),
+    pytest.param("margin.json", _margin_sample(lambda x: x[::-1]),
+                 id="margin.json-reversed-sample"),
+    pytest.param("margin.json", _margin_sample(lambda x: [math.nan, *x[1:]]),
+                 id="margin.json-nan-in-sample"),
+    pytest.param("margin.json", _margin_sample(lambda x: []),
+                 id="margin.json-empty-sample"),
+    pytest.param("network.json", lambda text: _first_weight(text, math.nan),
+                 id="network.json-nan-weight"),
+    pytest.param("network.json", lambda text: _first_weight(text, math.inf),
+                 id="network.json-infinite-weight"),
+    pytest.param("draws.csv", lambda text: _set_cell(text, 0, "nan"),
+                 id="draws.csv-nan-beta"),
+    pytest.param("draws.csv", lambda text: _set_cell(text, -1, "inf"),
+                 id="draws.csv-infinite-scale"),
+    pytest.param("draws.csv", lambda text: _set_cell(text, -1, "-1"),
+                 id="draws.csv-negative-scale"),
 ])
 def test_malformed_bundle_files_exit_data(tmp_path, capsys, toy_bundle,
                                           dataset_csv, name, edit):
@@ -741,7 +808,7 @@ def test_config_that_is_not_an_object_exits_config(tmp_path):
 
 def test_calibrate_rejects_bad_refit_options_before_refitting(
         tmp_path, dataset_csv, monkeypatch):
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
 
     bundle = tmp_path / "bundle"
     fit_cfg = write_config(tmp_path / "fit.json",
@@ -756,7 +823,7 @@ def test_calibrate_rejects_bad_refit_options_before_refitting(
     def no_refit(*args, **kwargs):
         raise AssertionError("refit started")
 
-    monkeypatch.setattr(cli, "fit_copula_regression", no_refit)
+    monkeypatch.setattr(pipeline, "fit_copula_regression", no_refit)
     cal_cfg = write_config(tmp_path / "cal.json",
                            {"bundle": str(bundle), "dataset": dataset_csv,
                             "folds": 2})
@@ -767,7 +834,7 @@ def test_calibrate_rejects_bad_refit_options_before_refitting(
 @pytest.mark.parametrize("mcmc", [{"draws": 0}, {"thin": -1}, {"burnin": -5}])
 def test_calibrate_rejects_bad_refit_sampler_sizes_before_refitting(
         tmp_path, dataset_csv, monkeypatch, mcmc):
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
 
     bundle = tmp_path / "bundle"
     fit_cfg = write_config(tmp_path / "fit.json",
@@ -782,7 +849,7 @@ def test_calibrate_rejects_bad_refit_sampler_sizes_before_refitting(
     def no_refit(*args, **kwargs):
         raise AssertionError("refit started")
 
-    monkeypatch.setattr(cli, "fit_copula_regression", no_refit)
+    monkeypatch.setattr(pipeline, "fit_copula_regression", no_refit)
     cal_cfg = write_config(tmp_path / "cal.json",
                            {"bundle": str(bundle), "dataset": dataset_csv,
                             "folds": 2})
@@ -794,7 +861,7 @@ def test_kfold_calibrate_refuses_bundles_that_fit_did_not_write(
         tmp_path, monkeypatch):
     # An lfi-fit bundle records no fit config: k-fold refits of it used to
     # fall back to the tabular defaults and score a different model.
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
     from copreg.lfi.priors import default_blowfly_prior
 
     cfg = write_config(tmp_path / "lfi.json", {
@@ -809,13 +876,13 @@ def test_kfold_calibrate_refuses_bundles_that_fit_did_not_write(
     bundle = tmp_path / "fit" / "param_delay"
 
     calls = []
-    real_fit = cli.fit_copula_regression
+    real_fit = pipeline.fit_copula_regression
 
     def spy(x, y, **kwargs):
         calls.append(kwargs)
         return real_fit(x, y, **kwargs)
 
-    monkeypatch.setattr(cli, "fit_copula_regression", spy)
+    monkeypatch.setattr(pipeline, "fit_copula_regression", spy)
     cal_cfg = write_config(tmp_path / "cal.json", {
         "bundle": str(bundle), "dataset": str(tmp_path / "missing.csv"),
         "folds": 2})
@@ -1002,12 +1069,12 @@ def test_calibrate_with_more_folds_than_rows_exits_data_before_refitting(
         tmp_path, capsys, toy_bundle, dataset_csv, monkeypatch):
     # 100 folds of 60 rows left 40 folds empty: each refitted the model on
     # all 60 rows, and scores.json got "mls_kfold": NaN, which is not JSON
-    import copreg.cli as cli
+    import copreg.pipeline as pipeline
 
     def refit(*args, **kwargs):
         raise AssertionError("calibrate refitted the model")
 
-    monkeypatch.setattr(cli, "fit_copula_regression", refit)
+    monkeypatch.setattr(pipeline, "fit_copula_regression", refit)
     names, rows = load_table(dataset_csv)
     data = _write_rows(tmp_path / "sixty.csv", names, rows[:60])
     cfg = write_config(tmp_path / "cal.json", {

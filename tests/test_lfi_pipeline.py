@@ -1,5 +1,7 @@
 """LFI pipeline: batch generation, per-parameter fits, evaluation logic."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from copreg.lfi import (
     marginal_calibration_distance,
     voles_model,
 )
+from copreg.lfi.pipeline import param_seed
 
 TINY_CNN = LfiFitConfig(kernel_sizes=(7, 5), filter_counts=(4, 3),
                         dense_width=12, epochs=15, batch_size=64,
@@ -127,6 +130,26 @@ def test_fit_all_parameters_builds_one_model_per_parameter():
                    seed=0)
     models = fit_all_parameters(sub, config=TINY_CNN, seed=1)
     assert len(models) == 2
+
+
+def test_fit_all_parameters_returns_each_parameters_lfi_fit_bundle(tmp_path):
+    model = blowfly_model(series_length=30)
+    train, _ = generate_training(model, 40, split=0.9, seed=2)
+    config = LfiFitConfig(kernel_sizes=(5, 3), filter_counts=(3, 2),
+                          dense_width=6, epochs=2, batch_size=16,
+                          variant="ridge", burnin=10, draws=20)
+    bundles = fit_all_parameters(train, config, seed=5, return_bundle=True)
+    assert len(bundles) == model.prior.dim
+    for j, bundle in enumerate(bundles):
+        alone = lfi_fit(train, j, config=config, seed=param_seed(5, j),
+                        return_bundle=True)
+        bundle.save(tmp_path / f"loop{j}")
+        alone.save(tmp_path / f"alone{j}")
+        names = sorted(os.listdir(tmp_path / f"alone{j}"))
+        assert sorted(os.listdir(tmp_path / f"loop{j}")) == names
+        for name in names:
+            assert ((tmp_path / f"loop{j}" / name).read_bytes()
+                    == (tmp_path / f"alone{j}" / name).read_bytes()), name
 
 
 def test_information_free_simulator_recovers_prior():

@@ -1,11 +1,12 @@
 """Network engine: forward oracles, finite-difference gradients, training."""
 
 import inspect
+import json
 
 import numpy as np
 import pytest
 
-from copreg.errors import DivergenceError, ShapeError
+from copreg.errors import DivergenceError, DomainError, ShapeError
 from copreg.nnet import (
     BatchNorm,
     Conv1D,
@@ -297,12 +298,20 @@ def test_network_json_round_trip_bitwise():
     assert clone.to_json() == text
 
 
-def test_output_intercept_reporting():
-    base = build_ffn(3, seed=0, output_bias=False)
-    assert base.output_intercept == 0.0
-    with_bias = build_ffn(3, seed=0, output_bias=True)
-    with_bias.layers[-1].bias[0] = 1.25
-    assert with_bias.output_intercept == 1.25
+@pytest.mark.parametrize("name,value", [
+    ("running_var", -1.0), ("running_var", np.nan), ("running_mean", np.inf),
+    ("gamma", np.nan), ("weights", np.nan), ("bias", -np.inf)])
+def test_network_json_with_a_bad_number_is_rejected(name, value):
+    net = build_cnn(40, kernel_sizes=(7, 5), filter_counts=(4, 3),
+                    dense_width=9, seed=8)
+    doc = json.loads(net.to_json())
+    layer = next(fields for fields in doc["layers"] if name in fields)
+    target = layer[name]  # a vector, or the weights' nested lists
+    while isinstance(target[0], list):
+        target = target[0]
+    target[0] = value
+    with pytest.raises(DomainError):
+        Network.from_json(json.dumps(doc))
 
 
 # -- layer format ---------------------------------------------------------------------

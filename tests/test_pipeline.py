@@ -1,14 +1,17 @@
 """Full estimation pipeline on synthetic data, plus bundle round trips."""
 
+import os
+
 import numpy as np
 import pytest
 
 from copreg.calibration import probability_calibration
-from copreg.errors import DataError, DomainError, ShapeError
+from copreg.errors import ConfigError, DataError, DomainError, ShapeError
 from copreg.nnet import TrainConfig, build_ffn
 from copreg.pipeline import (
     CopulaRegression,
     FeatureScaler,
+    FitConfig,
     _norm_pdf,
     fit_copula_regression,
     fit_gaussian_baseline,
@@ -132,6 +135,39 @@ def test_norm_pdf_equals_scipy_bit_for_bit(seed):
     # density_at: one y per row
     assert np.array_equal(_norm_pdf(y[:50], loc, scale),
                           norm.pdf(y[:50], loc=loc, scale=scale))
+
+
+@pytest.mark.parametrize("network,ffn", [
+    ({"width": 8, "dropout": 0.2}, {"width": 8, "dropout_rate": 0.2}),
+    ({}, {})])
+def test_fit_config_saves_the_bundle_of_the_hand_built_fit(tmp_path, network,
+                                                           ffn):
+    x, y = skewed_dataset(n=60)
+    spec = FitConfig(network=network, train={"epochs": 5},
+                     mcmc={"variant": "ridge", "burnin": 20, "draws": 30})
+    spec.fit(x, y, seed=4).save(tmp_path / "spec")
+    fit_copula_regression(
+        x, y, network=build_ffn(x.shape[1], seed=4, **ffn),
+        train_cfg=TrainConfig(epochs=5, seed=4), variant="ridge", burnin=20,
+        draws=30, seed=4).save(tmp_path / "hand")
+    names = sorted(os.listdir(tmp_path / "hand"))
+    assert sorted(os.listdir(tmp_path / "spec")) == names
+    for name in names:
+        assert ((tmp_path / "spec" / name).read_bytes()
+                == (tmp_path / "hand" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("blocks,key", [
+    ({"mcmc": {"width": 8}}, "mcmc"),
+    ({"mcmc": {"variant": "lasso"}}, "mcmc"),
+    ({"network": {"epochs": 3}}, "network"),
+    ({"network": {"width": 0}}, "network"),
+    ({"network": {"dropout": 1.0}}, "network"),
+    ({"train": {"variant": "ridge"}}, "train"),
+    ({"train": {"epochs": 0}}, "train")])
+def test_fit_config_names_the_block_of_a_bad_option(blocks, key):
+    with pytest.raises(ConfigError, match=f"invalid '{key}' options"):
+        FitConfig(**blocks)
 
 
 def test_fit_rejects_mismatched_rows():
