@@ -36,8 +36,7 @@ print("fitting plain network baseline ...")
 baseline = fit_gaussian_baseline(x, y,
                                  network=build_ffn(p, seed=2,
                                                    output_bias=True),
-                                 train_cfg=TrainConfig(epochs=200, seed=2),
-                                 seed=2)
+                                 train_cfg=TrainConfig(epochs=200, seed=2))
 
 # the copula's diagnostics are those of `copreg calibrate`; the baseline is
 # judged on the same margin grid

@@ -209,8 +209,9 @@ def cmd_lfi_score(cfg, out_dir, seed, data_dir=None, fit_dir=None):
         name = f"param_{prior.name}"
         bundle = CopulaRegression.load(os.path.join(fit_dir, name))
         if bundle.meta.get("axis") != prior.axis:
-            raise DataError(f"{name} was not fitted on its "
-                            f"prior's {prior.axis} axis")
+            raise DataError(f"{os.path.join(fit_dir, name, 'manifest.json')}"
+                            f" records axis {bundle.meta.get('axis')!r}, not "
+                            f"the prior's {prior.axis!r}")
         _check_width(f"the series of {test_path}", test_b.series_length,
                      bundle, 0, name)
         _check_width(f"the series of {observed_path}", observed.size,

@@ -406,9 +406,14 @@ class PosteriorDraws:
     def q(self):
         return self.beta_draws.shape[1]
 
+    @staticmethod
+    def columns(variant, q):
+        """``draws.csv``'s header: the q coefficients, then the shrinkage."""
+        return ([f"beta_{j + 1}" for j in range(q)]
+                + ShrinkageState.flat_names(variant, q))
+
     def save_csv(self, csv_path, header_path):
-        names = ([f"beta_{j + 1}" for j in range(self.q)]
-                 + ShrinkageState.flat_names(self.variant, self.q))
+        names = self.columns(self.variant, self.q)
         rows = np.hstack([self.beta_draws,
                           np.vstack([st.flat() for st in self.theta_draws])])
         write_csv(csv_path, names, rows)
@@ -421,7 +426,12 @@ class PosteriorDraws:
     def load_csv(cls, csv_path, header_path):
         header = load_json(header_path, DataError)
         variant, q = header["variant"], header["q"]
-        _, rows = load_table(csv_path)
+        names, rows = load_table(csv_path)
+        expected = cls.columns(variant, q)
+        if names != expected:
+            raise DomainError(f"{csv_path} does not hold the {len(expected)} "
+                              f"columns of a {variant} draw of {q} "
+                              f"coefficients (beta_1, ..., {expected[-1]})")
         if not np.isfinite(rows).all():
             raise DomainError("every draw must be finite")
         thetas = [ShrinkageState.from_flat(variant, row[q:], q) for row in rows]

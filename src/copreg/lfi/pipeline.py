@@ -39,30 +39,21 @@ from ..predict import (
 )
 from .priors import ParamPrior, PriorSpec, shipped_prior
 from .scoring import REPS, TRAIN_FRAC, composite_scores
-from .simulators import (
-    BlowflyParams,
-    VolesParams,
-    integrate_voles_lockstep,
-    simulate_blowfly,
-    simulate_blowfly_batch,
-    simulate_voles,
-    voles_counts,
-    voles_schedule,
-)
+from .simulators import BlowflyParams, VolesParams
 
 logger = logging.getLogger(__name__)
 
-#: Voles units integrated together by :func:`generate_training`; bounds its
-#: (steps, units) matrix of normal draws.
+#: Units simulated together by :func:`generate_training`, blowfly and voles
+#: alike; bounds the voles (steps, units) matrix of normal draws.
 VOLES_BLOCK = 256
 
 #: Prior draws that :func:`lfi_report` compares each parameter's average
 #: posterior against.
 REFERENCE_DRAWS = 20_000
 
-#: The one lookup of a simulator name: its parameter record, whose ``names``
-#: a prior must list in that order, and its default series length.
-SIMULATORS = {"blowfly": (BlowflyParams, 275), "voles": (VolesParams, 90)}
+#: The one lookup of a simulator name: its parameter record, which holds
+#: its ``names``, default ``length``, ``simulate`` and ``simulate_units``.
+SIMULATORS = {"blowfly": BlowflyParams, "voles": VolesParams}
 
 
 @dataclass
@@ -77,10 +68,10 @@ class SimModel:
     def __post_init__(self):
         if not (isinstance(self.name, str) and self.name in SIMULATORS):
             raise ConfigError(f"unknown simulator {self.name!r}")
-        record, length = SIMULATORS[self.name]
+        record = SIMULATORS[self.name]
         self.prior = self.prior or shipped_prior(self.name)
         if self.series_length is None:
-            self.series_length = length
+            self.series_length = record.length
         if tuple(self.prior.names) != record.names:
             raise ConfigError(f"a {self.name} prior lists "
                               f"{', '.join(record.names)} in this order, "
@@ -88,12 +79,8 @@ class SimModel:
 
     def simulate(self, rho_row, rng, reps=None):
         """Series at one parameter row."""
-        params = SIMULATORS[self.name][0].from_array(rho_row)
-        if self.name == "voles":
-            return simulate_voles(params, self.series_length, rng, reps=reps)
-        if reps is None:
-            return simulate_blowfly(params, self.series_length, rng)
-        return simulate_blowfly_batch(params, self.series_length, reps, rng)
+        return SIMULATORS[self.name].from_array(rho_row).simulate(
+            self.series_length, rng, reps=reps)
 
 
 #: ``SimModel(name, prior=None, series_length=None)`` of each simulator.
@@ -160,23 +147,34 @@ def generate_training(model: SimModel, n_total, split=0.8, seed=0,
     Unit i runs on its own stream, ``default_rng`` of the i-th child of
     ``SeedSequence(seed)``: it draws rho from the prior, then the
     simulator's draws.  A diverged simulation is logged and rho resampled
-    on the same stream, at most ``max_retries`` times.  Voles units are
-    integrated together in blocks of :data:`VOLES_BLOCK` (see
-    :func:`_voles_units`), with every unit's output the same as when
-    simulated alone.
+    on the same stream, at most ``max_retries`` times.  Blocks of
+    :data:`VOLES_BLOCK` units run through the record's ``simulate_units``,
+    with each unit's output the same as when simulated alone.
     """
     split = checked_float("split", split, 0.0, 1.0)
     max_retries = checked_int("max_retries", max_retries, 1)
     children = np.random.SeedSequence(seed).spawn(n_total)
-    p = model.prior.dim
-    params = np.empty((n_total, p))
+    record = SIMULATORS[model.name]
+    params = np.empty((n_total, model.prior.dim))
     series = np.empty((n_total, model.series_length), dtype=np.int64)
-    if model.name == "voles":
-        _voles_units(model, children, params, series, max_retries)
-    else:
-        for i in range(n_total):
+    for start in range(0, n_total, VOLES_BLOCK):
+        rngs, units, error = [], [], None
+        for i in range(start, min(start + VOLES_BLOCK, n_total)):
+            rng = np.random.default_rng(children[i])
+            params[i] = model.prior.sample_matrix(rng, 1)[0]
+            try:
+                units.append(record.from_array(params[i]))
+            except DomainError as exc:  # raised after the units before it
+                error = exc
+                break
+            rngs.append(rng)
+        diverged = record.simulate_units(units, rngs, model.series_length,
+                                         series[start:start + len(units)])
+        for i in (start + np.flatnonzero(diverged)).tolist():
             params[i], series[i] = _unit(model, i, np.random.default_rng(
                 children[i]), max_retries)
+        if error is not None:
+            raise error
     n_train = int(round(split * n_total))
     names = tuple(model.prior.names)
     train_b = SimBatch(params[:n_train], series[:n_train], names, seed=seed,
@@ -196,42 +194,6 @@ def _unit(model, i, rng, max_retries):
             logger.warning("simulation diverged (unit %d, attempt %d); "
                            "resampling", i, attempt)
     raise DataError(f"unit {i}: exceeded {max_retries} resampling attempts")
-
-
-def _voles_units(model, children, params, series, max_retries):
-    """Fill ``params`` and ``series`` as :func:`_unit` would, unit by unit.
-
-    Each unit draws rho, then all its normals in one call, which is the
-    stream :func:`~.simulators.simulate_voles` draws; a block of units is
-    then integrated in lockstep and each unit draws its counts.  A unit
-    that diverged reruns :func:`_unit` from the start of its own stream.
-    """
-    steps, obs_steps = voles_schedule(model.series_length)
-    normals = np.empty((steps, min(VOLES_BLOCK, len(children))))
-    for start in range(0, len(children), VOLES_BLOCK):
-        stop = min(start + VOLES_BLOCK, len(children))
-        rngs, units, error = [], [], None
-        for i in range(start, stop):
-            rng = np.random.default_rng(children[i])
-            params[i] = model.prior.sample_matrix(rng, 1)[0]
-            try:
-                units.append(VolesParams.from_array(params[i]))
-            except DomainError as exc:  # raised after the units before it
-                error = exc
-                break
-            normals[:, len(rngs)] = rng.standard_normal(steps)
-            rngs.append(rng)
-        prey, _, diverged = integrate_voles_lockstep(
-            units, normals[:, :len(units)], obs_steps)
-        for u, rng in enumerate(rngs):
-            i = start + u
-            if diverged[u] < 0:
-                series[i] = voles_counts(units[u].obs_rate, prey[:, u], rng)
-            else:
-                params[i], series[i] = _unit(model, i, np.random.default_rng(
-                    children[i]), max_retries)
-        if error is not None:
-            raise error
 
 
 @dataclass

@@ -56,11 +56,26 @@ class BlowflyParams:
     #: The parameters in prior order: column j of a prior row is names[j].
     names = ("survival_rate", "recruitment_scale", "scaling_pop",
              "recruit_noise_var", "delay", "survival_noise_var")
+    length = 275  #: default series length
 
     @classmethod
     def from_array(cls, values):
         row = dict(zip(cls.names, map(float, values), strict=True))
         return cls(**{**row, "delay": int(round(row["delay"]))})
+
+    def simulate(self, length, rng, reps=None):
+        """One series, or a (reps, length) matrix of independent ones."""
+        if reps is None:
+            return simulate_blowfly(self, length, rng)
+        return simulate_blowfly_batch(self, length, reps, rng)
+
+    @staticmethod
+    def simulate_units(units, rngs, length, out):
+        """Row u of ``out`` is the series of ``units[u]`` on ``rngs[u]``;
+        returns which units diverged (none: counts are capped)."""
+        for u, (params, rng) in enumerate(zip(units, rngs)):
+            out[u] = simulate_blowfly(params, length, rng)
+        return np.zeros(len(units), dtype=bool)
 
 
 def _gamma_unit_mean(rng, variance, size=None):
@@ -178,10 +193,32 @@ class VolesParams:
     names = ("prey_growth", "season_amplitude", "gen_pred_max",
              "gen_pred_scale", "attack_rate", "interference", "pred_growth",
              "noise_scale", "obs_rate")
+    length = 90  #: default series length
 
     @classmethod
     def from_array(cls, values):
         return cls(**dict(zip(cls.names, map(float, values), strict=True)))
+
+    def simulate(self, length, rng, reps=None):
+        """:func:`simulate_voles` at these parameters."""
+        return simulate_voles(self, length, rng, reps=reps)
+
+    @staticmethod
+    def simulate_units(units, rngs, length, out):
+        """Row u of ``out`` is the series of ``units[u]`` on ``rngs[u]``
+        unless it diverged; returns which units diverged.  Each unit draws
+        its normals in one call, as :func:`simulate_voles` does, the block
+        is integrated in lockstep, then each unit draws its counts."""
+        steps, obs_steps = voles_schedule(length)
+        normals = np.empty((steps, len(units)))
+        for u, rng in enumerate(rngs):
+            normals[:, u] = rng.standard_normal(steps)
+        prey, _, diverged = integrate_voles_lockstep(units, normals,
+                                                     obs_steps)
+        for u, rng in enumerate(rngs):
+            if diverged[u] < 0:
+                out[u] = voles_counts(units[u].obs_rate, prey[:, u], rng)
+        return diverged >= 0
 
     @property
     def gen_pred_scale_sq(self):

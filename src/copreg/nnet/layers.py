@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ShapeError, checked_float
+from ..errors import DomainError, ShapeError, checked_float, checked_int
 
 ACTIVATIONS = ("relu", "linear")
 
@@ -244,10 +244,10 @@ class MaxPool1D(Layer):
 
     def __init__(self, width=2, stride=2):
         super().__init__()
-        if width < 1 or stride != width:
-            raise ValueError("pool width must be positive and equal its stride")
-        self.width = int(width)
-        self.stride = int(stride)
+        self.width = checked_int("pool width", width, 1, ShapeError)
+        if stride != self.width:
+            raise ValueError("pool stride must equal its width")
+        self.stride = self.width
 
     def out_shape(self, in_shape):
         if len(in_shape) != 2:
@@ -305,15 +305,23 @@ class BatchNorm(Layer):
     def __init__(self, channels, momentum=0.99, eps=1e-5, gamma=None, beta=None,
                  running_mean=None, running_var=None):
         super().__init__()
-        self.channels = int(channels)
+        self.channels = checked_int("batchnorm channels", channels, 1,
+                                    ShapeError)
         self.momentum = float(momentum)
-        self.eps = float(eps)
+        if not 0.0 <= self.momentum <= 1.0:
+            raise DomainError("batchnorm momentum must lie in [0, 1], "
+                              f"got {momentum!r}")
+        self.eps = checked_float("batchnorm eps", eps, 0.0, error=DomainError)
         self.gamma = np.ones(channels) if gamma is None else np.asarray(gamma, float)
         self.beta = np.zeros(channels) if beta is None else np.asarray(beta, float)
         self.running_mean = (np.zeros(channels) if running_mean is None
                              else np.asarray(running_mean, float))
         self.running_var = (np.ones(channels) if running_var is None
                             else np.asarray(running_var, float))
+        for name in self.param_names + self.state_names:
+            if getattr(self, name).shape != (self.channels,):
+                raise ShapeError(f"batchnorm {name} needs one entry per "
+                                 f"channel ({self.channels})")
 
     def out_shape(self, in_shape):
         if in_shape[-1] != self.channels:

@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from ..errors import DomainError, ShapeError
+from ..errors import DomainError, ShapeError, checked_int
 from .layers import LAYERS, Dense
 
 SERIAL_VERSION = 1
@@ -24,7 +24,8 @@ class Network:
         if not layers:
             raise ShapeError("a network needs at least one layer")
         self.layers = list(layers)
-        self.input_shape = tuple(int(d) for d in input_shape)
+        self.input_shape = tuple(checked_int("input_shape entry", d, 1,
+                                             ShapeError) for d in input_shape)
         shape = self.input_shape
         for layer in self.layers:
             shape = layer.out_shape(shape)

@@ -166,8 +166,8 @@ def _scaled_inputs(network, x):
     return scaler, scaler.transform(x)
 
 
-def fit_copula_regression(x, y, variant="horseshoe", network=None,
-                          train_cfg=None, burnin=1000, draws=1000, thin=1,
+def fit_copula_regression(x, y, *, network, train_cfg, variant="horseshoe",
+                          burnin=1000, draws=1000, thin=1,
                           seed=0) -> CopulaRegression:
     """Three-step estimation of the copula regression.
 
@@ -175,9 +175,9 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
     2. map to pseudo-responses, train the network on them, extract basis;
     3. Gibbs over the output-layer coefficients and shrinkage parameters.
 
-    ``network`` defaults to the dense feed-forward preset, whose feature
-    columns are rescaled to [0, 1]; a convolutional network for series
-    features sees them raw.
+    ``network`` is the untrained basis network and ``train_cfg`` its
+    :class:`TrainConfig`.  A dense network's feature columns are rescaled
+    to [0, 1]; a convolutional network for series features sees them raw.
     """
     # before any fitting
     burnin, draws, thin = check_sampler(variant, burnin, draws, thin)
@@ -188,10 +188,8 @@ def fit_copula_regression(x, y, variant="horseshoe", network=None,
     margin = fit_kde(y)
     z = to_pseudo(margin, y)
 
-    if network is None:
-        network = build_ffn(x.shape[1], seed=seed)
     scaler, x_in = _scaled_inputs(network, x)
-    train(network, x_in, z, train_cfg or TrainConfig(seed=seed))
+    train(network, x_in, z, train_cfg)
 
     basis = network.extract_basis(x_in)
     rng = np.random.default_rng(seed + 1)
@@ -308,15 +306,13 @@ class GaussianBaseline:
                     / np.sqrt(self.sigma2)).mean(axis=0)
 
 
-def fit_gaussian_baseline(x, y, network=None, train_cfg=None,
-                          seed=0) -> GaussianBaseline:
-    """Train the same architecture directly on the response; estimate sigma2."""
+def fit_gaussian_baseline(x, y, *, network, train_cfg) -> GaussianBaseline:
+    """Train ``network`` (with an output bias) directly on the response
+    under ``train_cfg``; estimate sigma2."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
-    if network is None:
-        network = build_ffn(x.shape[1], seed=seed, output_bias=True)
     scaler, x_in = _scaled_inputs(network, x)
-    train(network, x_in, y, train_cfg or TrainConfig(seed=seed))
+    train(network, x_in, y, train_cfg)
     resid = y - network.forward(x_in)[:, 0]
     sigma2 = float(np.mean(resid * resid))
     if sigma2 == 0.0:

@@ -200,7 +200,7 @@ def _fit_benchmark_triplet(x, y, seed):
         fits[variant] = fit
     baseline = fit_gaussian_baseline(
         x, y, network=build_ffn(x.shape[1], seed=seed, output_bias=True),
-        train_cfg=TrainConfig(epochs=200, seed=seed), seed=seed)
+        train_cfg=TrainConfig(epochs=200, seed=seed))
     return fits, baseline
 
 
@@ -218,7 +218,7 @@ def test_criterion_05_marginal_calibration_boston():
         average_predictive_cdf(fit.predictive, x, grid) - margin_cdf)))
     baseline = fit_gaussian_baseline(
         x, y, network=build_ffn(x.shape[1], seed=0, output_bias=True),
-        train_cfg=TrainConfig(epochs=200, seed=0), seed=0)
+        train_cfg=TrainConfig(epochs=200, seed=0))
     base_dist = float(np.max(np.abs(baseline.average_cdf(x, grid)
                                     - margin_cdf)))
     elapsed = time.time() - t0
@@ -498,7 +498,7 @@ def test_supplement_marginal_calibration_synthetic():
         average_predictive_cdf(fit.predictive, x, grid) - margin_cdf)))
     baseline = fit_gaussian_baseline(
         x, y, network=build_ffn(x.shape[1], seed=0, output_bias=True),
-        train_cfg=TrainConfig(epochs=200, seed=0), seed=0)
+        train_cfg=TrainConfig(epochs=200, seed=0))
     base_dist = float(np.max(np.abs(baseline.average_cdf(x, grid)
                                     - margin_cdf)))
     print(f"[supplement 5s] copula {dnnc_dist:.4f}, baseline {base_dist:.4f}")

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -674,6 +675,9 @@ def _first_weight(text, value):
                  id="draws.csv-infinite-scale"),
     pytest.param("draws.csv", lambda text: _set_cell(text, -1, "-1"),
                  id="draws.csv-negative-scale"),
+    pytest.param("network.json", lambda text: json.dumps(
+        {**json.loads(text), "input_shape": [math.inf]}),
+        id="network.json-infinite-input-shape"),
 ])
 def test_malformed_bundle_files_exit_data(tmp_path, capsys, toy_bundle,
                                           dataset_csv, name, edit):
@@ -1296,3 +1300,235 @@ def test_calibrate_on_one_row_exits_data(tmp_path, capsys, toy_bundle,
     err = capsys.readouterr().err
     assert err.startswith(f"data error: {data} has 1 row")
     assert not out.exists()
+
+
+def _first_layer(kind, **changes):
+    """A network.json edit: each ``field`` of its first ``kind`` layer
+    becomes ``change(value)``."""
+    def edit(text):
+        doc = json.loads(text)
+        layer = next(layer for layer in doc["layers"]
+                     if layer["kind"] == kind)
+        for field, change in changes.items():
+            layer[field] = change(layer[field])
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(_first_layer("batchnorm", **{field: lambda v: v[:-1]}),
+                 id=f"short-{field}")
+    for field in ("gamma", "beta", "running_mean", "running_var")] + [
+    pytest.param(_first_layer("batchnorm", eps=lambda v: math.nan),
+                 id="nan-eps"),
+    pytest.param(_first_layer("batchnorm", eps=lambda v: -1e-5),
+                 id="negative-eps"),
+    pytest.param(_first_layer("batchnorm", channels=lambda v: math.inf),
+                 id="infinite-channels"),
+    pytest.param(_first_layer("maxpool1d", width=lambda v: math.inf,
+                              stride=lambda v: math.inf),
+                 id="infinite-pool"),
+])
+def test_a_layer_that_does_not_fit_exits_data(tmp_path, capsys, lfi_runs,
+                                              edit):
+    # lfi-score ended in a ValueError or OverflowError traceback, or exited
+    # 0 on a truncated array
+    fit = tmp_path / "fit"
+    shutil.copytree(lfi_runs / "fit", fit)
+    path = fit / "param_delay" / "network.json"
+    path.write_text(edit(path.read_text()))
+    cfg = write_config(tmp_path / "score.json", {
+        **TINY_LFI, "data_dir": str(lfi_runs / "data30"), "fit_dir": str(fit)})
+    out = tmp_path / "out"
+    assert main(["lfi-score", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: malformed bundle file {path}: ")
+    assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def horseshoe_bundle(tmp_path_factory, dataset_csv):
+    root = tmp_path_factory.mktemp("horseshoe_bundle")
+    cfg = write_config(root / "fit.json", {
+        "dataset": dataset_csv,
+        **FAST_FIT, "mcmc": {**FAST_FIT["mcmc"], "variant": "horseshoe"}})
+    assert main(["fit", "--config", cfg, "--out", str(root / "bundle"),
+                 "--seed", "2"]) == 0
+    return root / "bundle"
+
+
+def test_horseshoe_draws_read_as_ridge_exit_data(tmp_path, capsys,
+                                                 horseshoe_bundle,
+                                                 dataset_csv):
+    # calibrate exited 0 and read the first shrinkage column as tau2
+    bundle = tmp_path / "bundle"
+    shutil.copytree(horseshoe_bundle, bundle)
+    header = json.loads((bundle / "draws_header.json").read_text())
+    assert header["variant"] == "horseshoe"
+    (bundle / "draws_header.json").write_text(
+        json.dumps({**header, "variant": "ridge"}))
+    cfg = write_config(tmp_path / "cal.json", {
+        "bundle": str(bundle), "dataset": dataset_csv, "folds": 0})
+    out = tmp_path / "out"
+    assert main(["calibrate", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(bundle / "draws.csv") in err
+    assert "ridge draw" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("axis", ["logit", None])
+def test_a_manifest_off_the_prior_axis_names_the_manifest(tmp_path, capsys,
+                                                          lfi_runs, axis):
+    # a changed or dropped axis named only the param_<name> directory
+    fit = tmp_path / "fit"
+    shutil.copytree(lfi_runs / "fit", fit)
+    path = fit / "param_scaling_pop" / "manifest.json"
+    doc = json.loads(path.read_text())
+    assert doc.pop("axis") == "log"
+    path.write_text(json.dumps(doc if axis is None else {**doc, "axis": axis}))
+    cfg = write_config(tmp_path / "score.json", {
+        **TINY_LFI, "data_dir": str(lfi_runs / "data30"), "fit_dir": str(fit)})
+    out = tmp_path / "out"
+    assert main(["lfi-score", "--config", cfg, "--out", str(out),
+                 "--seed", "1"]) == EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {path} records")
+    assert not out.exists()
+
+
+# -- one edit to any bundle file -----------------------------------------------------
+
+
+def _nodes(doc, path=()):
+    """(path, value) of ``doc`` and of everything nested in it."""
+    yield path, doc
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _edits(value):
+    """The edits that apply to ``value``: a NaN, infinite or negative
+    number; a permuted or truncated list; a dropped or added key."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return ["nan", "inf", "-inf", "negative"]
+    if isinstance(value, list):
+        return ["permute", "truncate"] if value else []
+    if isinstance(value, dict):
+        return ["drop", "add"]
+    return []
+
+
+def _edited(value, edit, data):
+    if edit == "negative":
+        return -abs(value) - 1
+    if edit in ("nan", "inf", "-inf"):
+        return float(edit)
+    if edit == "permute":
+        return data.draw(st.permutations(value))
+    if edit == "truncate":
+        return value[:data.draw(st.integers(0, len(value) - 1))]
+    if edit == "drop":
+        key = data.draw(st.sampled_from(sorted(value)))
+        return {k: v for k, v in value.items() if k != key}
+    return {**value, "extra": 1}
+
+
+def _edit_bundle_file(path, data):
+    """Apply one drawn edit to the JSON or CSV file at ``path``; a CSV file
+    is edited as its list of rows, the header row first."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        lines = text.splitlines()
+        doc = [lines[0].split(",")] + [[float(cell) for cell in line.split(",")]
+                                       for line in lines[1:]]
+    else:
+        doc = json.loads(text)
+    nodes = list(_nodes(doc))
+    edit = data.draw(st.sampled_from(sorted(
+        {edit for _, value in nodes for edit in _edits(value)})))
+    where, value = data.draw(st.sampled_from(
+        [(where, value) for where, value in nodes if edit in _edits(value)]))
+    new = _edited(value, edit, data)
+    if not where:
+        doc = new
+    else:
+        parent = doc
+        for key in where[:-1]:
+            parent = parent[key]
+        parent[where[-1]] = new
+    if path.suffix == ".csv":
+        path.write_text("".join(",".join(map(str, row)) + "\n" for row in doc))
+    else:
+        path.write_text(json.dumps(doc))
+
+
+def _exits_ok_or_naming(argv, path, out):
+    """Run ``argv``: exit 0, or exit 3 naming ``path`` with ``out``
+    unwritten."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, EXIT_DATA), err
+    if code == EXIT_DATA:
+        assert str(path.parent) in err and path.name in err, err
+        assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def small_table(tmp_path_factory, dataset_csv):
+    """The first 12 rows of the toy dataset."""
+    names, rows = load_table(dataset_csv)
+    return _write_rows(tmp_path_factory.mktemp("small") / "small.csv", names,
+                       rows[:12])
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_an_edited_tabular_bundle_exits_ok_or_data(toy_bundle, small_table,
+                                                   data):
+    with tempfile.TemporaryDirectory() as tmp:
+        bundle = pathlib.Path(shutil.copytree(toy_bundle, f"{tmp}/bundle"))
+        path = bundle / data.draw(st.sampled_from(sorted(os.listdir(bundle))))
+        _edit_bundle_file(path, data)
+        for task in ("predict", "calibrate"):
+            cfg = write_config(f"{tmp}/{task}.json", {
+                "bundle": str(bundle), "dataset": small_table, "folds": 0,
+                "grid_size": 16})
+            out = pathlib.Path(tmp, task)
+            _exits_ok_or_naming([task, "--config", cfg, "--out", str(out),
+                                 "--seed", "1"], path, out)
+
+
+@pytest.fixture(scope="module")
+def horseshoe_lfi_fit(tmp_path_factory, lfi_runs):
+    """Horseshoe ``param_*`` bundles fitted on the length-30 series."""
+    root = tmp_path_factory.mktemp("horseshoe_lfi")
+    cfg = write_config(root / "fit.json", {
+        **TINY_LFI, "lfi_fit": {**TINY_LFI["lfi_fit"], "variant": "horseshoe"},
+        "data_dir": str(lfi_runs / "data30")})
+    assert main(["lfi-fit", "--config", cfg, "--out", str(root / "fit"),
+                 "--seed", "3"]) == 0
+    return root / "fit"
+
+
+@settings(max_examples=100)
+@given(data=st.data())
+def test_an_edited_lfi_bundle_exits_ok_or_data(lfi_runs, horseshoe_lfi_fit,
+                                               data):
+    with tempfile.TemporaryDirectory() as tmp:
+        fit = pathlib.Path(shutil.copytree(horseshoe_lfi_fit, f"{tmp}/fit"))
+        bundle = fit / data.draw(st.sampled_from(sorted(
+            name for name in os.listdir(fit) if name.startswith("param_"))))
+        path = bundle / data.draw(st.sampled_from(sorted(os.listdir(bundle))))
+        _edit_bundle_file(path, data)
+        cfg = write_config(f"{tmp}/score.json", {
+            **TINY_LFI, "data_dir": str(lfi_runs / "data30"),
+            "fit_dir": str(fit)})
+        out = pathlib.Path(tmp, "out")
+        _exits_ok_or_naming(["lfi-score", "--config", cfg, "--out", str(out),
+                             "--seed", "1"], path, out)

@@ -1,5 +1,6 @@
 """LFI pipeline: batch generation, per-parameter fits, evaluation logic."""
 
+import ast
 import os
 
 import numpy as np
@@ -21,6 +22,7 @@ from copreg.lfi import (
     marginal_calibration_distance,
     voles_model,
 )
+from copreg.lfi import pipeline
 from copreg.lfi.pipeline import param_seed
 
 TINY_CNN = LfiFitConfig(kernel_sizes=(7, 5), filter_counts=(4, 3),
@@ -46,6 +48,38 @@ def test_generate_training_split_arithmetic_and_determinism():
     np.testing.assert_array_equal(test_a.series, test_b.series)
     train_c, _ = generate_training(model, 50, split=0.8, seed=4)
     assert not np.array_equal(train_a.series, train_c.series)
+
+
+def test_the_lfi_pipeline_compares_no_string():
+    """Each simulator record owns its code paths, so the pipeline tests no
+    simulator's name."""
+    with open(pipeline.__file__) as fh:
+        tree = ast.parse(fh.read())
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Compare)
+             and any(isinstance(side, ast.Constant)
+                     and isinstance(side.value, str)
+                     for side in [node.left, *node.comparators])]
+    assert lines == []
+
+
+@pytest.mark.parametrize("block", [256, 7])
+@pytest.mark.parametrize("n_total", [21, 17])
+def test_blowfly_units_equal_the_per_unit_loop(monkeypatch, n_total, block):
+    """Each blowfly unit of the block loop is the unit ``_unit`` simulates
+    alone on its stream; 17 units leave the last block of 7 three short."""
+    model = blowfly_model(series_length=30)
+    children = np.random.SeedSequence(5).spawn(n_total)
+    want = [pipeline._unit(model, i, np.random.default_rng(child), 100)
+            for i, child in enumerate(children)]
+    monkeypatch.setattr(pipeline, "VOLES_BLOCK", block)
+    train, test = generate_training(model, n_total, seed=5)
+    params = np.vstack([train.params, test.params])
+    series = np.vstack([train.series, test.series])
+    assert series.dtype == np.int64
+    assert params.tobytes() == np.vstack([rho for rho, _ in want]).tobytes()
+    assert series.tobytes() == np.vstack(
+        [np.asarray(s, dtype=np.int64) for _, s in want]).tobytes()
 
 
 def test_generate_training_rejects_bad_split():

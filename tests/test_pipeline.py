@@ -172,7 +172,9 @@ def test_fit_config_names_the_block_of_a_bad_option(blocks, key):
 
 def test_fit_rejects_mismatched_rows():
     with pytest.raises(DataError):
-        fit_copula_regression(np.zeros((5, 2)), np.zeros(4))
+        fit_copula_regression(np.zeros((5, 2)), np.zeros(4),
+                              network=build_ffn(2, width=8, seed=0),
+                              train_cfg=TrainConfig(epochs=5, seed=0))
 
 
 @pytest.mark.parametrize("sizes", [{"draws": 0}, {"thin": 0},
@@ -186,4 +188,7 @@ def test_bad_sampler_sizes_fail_before_training(monkeypatch, sizes):
     monkeypatch.setattr(pipeline, "train", no_training)
     x, y = skewed_dataset(n=40)
     with pytest.raises(DomainError):
-        fit_copula_regression(x, y, **sizes)
+        fit_copula_regression(x, y, network=build_ffn(x.shape[1], width=8,
+                                                      seed=0),
+                              train_cfg=TrainConfig(epochs=5, seed=0),
+                              **sizes)
